@@ -167,6 +167,8 @@ class UncertaintySet:
 
     def __post_init__(self) -> None:
         centers = _matrix(self.centers, "centers").copy()
+        if not np.all(np.isfinite(centers)):
+            raise ValueError("centers must be finite")
         centers.setflags(write=False)
         radius = float(self.radius)
         if not np.isfinite(radius) or radius < 0:

@@ -7,11 +7,14 @@ equivalent to one deterministic constraint per ball center,
 
     x . center_i + radius * ||x||_*  <=  b,
 
-where ``||.||_*`` is the dual of the ball norm.  For L1 and LINF balls
-the dual norm is polyhedral, so the whole model collapses to a single
-LP through epigraph variables and is solved exactly.  L2 balls keep a
-genuine Euclidean term; those rows are outer-approximated by cutting
-planes around the same LP core.
+where ``||.||_*`` is the dual of the ball norm.  The solver writes every
+such constraint as the same LP row ``center_i . x + radius * t <= b``,
+where ``t`` is one epigraph column per ball norm in use, shared by all
+rows of that norm, with ``t >= ||x||_*``.  For L1 and LINF balls the dual
+norm is polyhedral and the epigraph is exact, so the model is one LP.
+For L2 balls the cone ``||x||_2 <= t`` is outer-approximated by gradient
+cuts (Kelley's cutting-plane method) added one per round around the same
+LP core.
 """
 
 from __future__ import annotations
@@ -26,7 +29,6 @@ from .geometry import (
     Norm,
     UncertaintySet,
     dual_achieving_direction,
-    dual_norm_eval,
     member,
     worst_case_linear,
 )
@@ -36,10 +38,8 @@ __all__ = [
     "ModelError",
     "LinearRow",
     "RobustRow",
-    "CenterTerm",
     "RobustLinearProgram",
     "SolveReport",
-    "reformulate",
     "solve",
     "simplex_solve",
     "pessimize",
@@ -104,43 +104,6 @@ class RobustRow:
         if not isinstance(self.uncertainty_set, UncertaintySet):
             raise ModelError("robust row needs an UncertaintySet")
         object.__setattr__(self, "b", _finite_scalar(self.b, "row bound"))
-
-
-@dataclass(frozen=True)
-class CenterTerm:
-    """One reformulated constraint ``x . center + radius * ||x||_* <= bound``.
-
-    ``norm`` is the ball norm of the originating set; the term applies its
-    dual to ``x``.  With ``radius == 0`` the term is an ordinary linear row.
-    """
-
-    center: np.ndarray
-    radius: float
-    norm: Norm
-    bound: float
-
-    @property
-    def is_linear(self) -> bool:
-        return self.radius == 0.0
-
-    def evaluate(self, x) -> float:
-        x = np.asarray(x, dtype=float)
-        if x.shape != self.center.shape:
-            raise DimensionError(
-                f"x has shape {x.shape}, expected {self.center.shape}"
-            )
-        return float(self.center @ x) + self.radius * dual_norm_eval(x, self.norm)
-
-
-def reformulate(row: RobustRow) -> list[CenterTerm]:
-    """Expand a robust row into one convex constraint per ball center."""
-    if not isinstance(row, RobustRow):
-        row = RobustRow(*row)
-    uset = row.uncertainty_set
-    return [
-        CenterTerm(center=c, radius=uset.radius, norm=uset.norm, bound=row.b)
-        for c in uset.centers
-    ]
 
 
 def _normalize_bounds(bounds, dim: int):
@@ -220,18 +183,26 @@ class RobustLinearProgram:
 
     @classmethod
     def from_dict(cls, data: dict) -> "RobustLinearProgram":
-        bounds = data.get("bounds")
-        return cls(
-            objective=data["objective"],
-            deterministic_rows=tuple(
-                LinearRow(row["a"], row["b"]) for row in data.get("rows", ())
-            ),
-            robust_rows=tuple(
-                RobustRow(UncertaintySet.from_dict(row["set"]), row["b"])
-                for row in data.get("robust_rows", ())
-            ),
-            bounds=None if bounds is None else [tuple(pair) for pair in bounds],
-        )
+        """Build a model from its JSON form; a malformed one raises ModelError."""
+        if not isinstance(data, dict):
+            raise ModelError("model must be a JSON object")
+        try:
+            bounds = data.get("bounds")
+            return cls(
+                objective=data["objective"],
+                deterministic_rows=tuple(
+                    LinearRow(row["a"], row["b"]) for row in data.get("rows", ())
+                ),
+                robust_rows=tuple(
+                    RobustRow(UncertaintySet.from_dict(row["set"]), row["b"])
+                    for row in data.get("robust_rows", ())
+                ),
+                bounds=None if bounds is None else [tuple(pair) for pair in bounds],
+            )
+        except KeyError as exc:
+            raise ModelError(f"model is missing key {exc}") from exc
+        except TypeError as exc:
+            raise ModelError(f"malformed model: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -240,8 +211,10 @@ class SolveReport:
 
     ``max_violation`` is the largest constraint residual at ``x_star``
     (deterministic rows and robust worst cases alike; negative values mean
-    slack) and is 0.0 when no point is reported.  The tolerances and cut
-    cap that governed the solve are recorded for reproducibility.
+    slack) and is 0.0 when no point is reported.  ``cuts_added`` counts
+    the gradient cuts added to the L2 cone, one per cutting-plane round; it
+    is 0 for models without an L2 ball of positive radius.  The tolerances
+    and cut cap that governed the solve are recorded for reproducibility.
     """
 
     status: LPStatus
@@ -339,21 +312,27 @@ class _RelaxationBuilder:
         return np.vstack(self.rows), np.asarray(self.rhs)
 
 
-def _needs_cuts(row: RobustRow) -> bool:
-    uset = row.uncertainty_set
-    return uset.norm is Norm.L2 and uset.radius > 0.0
+def _assemble(
+    rlp: RobustLinearProgram, vmap: _VariableMap
+) -> tuple[_RelaxationBuilder, dict[Norm, int]]:
+    """The base relaxation and the epigraph column of each ball norm in use.
 
-
-def _assemble(rlp: RobustLinearProgram, vmap: _VariableMap) -> _RelaxationBuilder:
-    """Base relaxation: exact epigraph blocks for polyhedral-dual rows,
-    scenario rows only for rows that will be tightened by cuts."""
+    Every robust center becomes ``center . x + radius * t <= b`` over the
+    column ``t`` of its norm.  The L1 epigraph (dual: max norm) is
+    ``t >= |x_j|``; the LINF epigraph (dual: sum norm) is ``s_j >= |x_j|``
+    and ``sum(s) <= t``.  The L2 epigraph starts with no rows; the cuts of
+    :func:`solve` build it.
+    """
     dim = rlp.num_variables
-    num_aux = 0
-    for row in rlp.robust_rows:
-        if _needs_cuts(row) or row.uncertainty_set.radius == 0.0:
-            continue
-        num_aux += 1 if row.uncertainty_set.norm is Norm.L1 else dim
-    builder = _RelaxationBuilder(vmap, num_aux)
+    norms = [
+        norm
+        for norm in Norm
+        if any(row.uncertainty_set.norm is norm for row in rlp.robust_rows)
+    ]
+    num_s = dim if Norm.LINF in norms else 0
+    builder = _RelaxationBuilder(vmap, len(norms) + num_s)
+    t_col = {norm: builder.n_y + k for k, norm in enumerate(norms)}
+    s_cols = range(builder.n_y + len(norms), builder.n_cols)
     identity = np.eye(dim)
 
     for row in rlp.deterministic_rows:
@@ -361,36 +340,23 @@ def _assemble(rlp: RobustLinearProgram, vmap: _VariableMap) -> _RelaxationBuilde
     for col, bound in vmap.range_rows:
         builder.add_y_row(col, bound)
 
-    aux_next = builder.n_y
+    # |x_j| <= t for the L1 epigraph and |x_j| <= s_j for the LINF one.
+    abs_bounds = [(j, t_col[Norm.L1]) for j in range(dim)] if Norm.L1 in t_col else []
+    abs_bounds += list(enumerate(s_cols))
+    for j, col in abs_bounds:
+        builder.add_x_row(identity[j], 0.0, aux=[(col, -1.0)])
+        builder.add_x_row(-identity[j], 0.0, aux=[(col, -1.0)])
+    if Norm.LINF in t_col:
+        builder.add_x_row(
+            np.zeros(dim), 0.0,
+            aux=[(col, 1.0) for col in s_cols] + [(t_col[Norm.LINF], -1.0)],
+        )
+
     for row in rlp.robust_rows:
         uset = row.uncertainty_set
-        radius = uset.radius
-        if radius == 0.0 or _needs_cuts(row):
-            for center in uset.centers:
-                builder.add_x_row(center, row.b)
-            continue
-        if uset.norm is Norm.L1:
-            # Dual is the max norm: one auxiliary t with t >= |x_j|.
-            t_col = aux_next
-            aux_next += 1
-            for j in range(dim):
-                builder.add_x_row(identity[j], 0.0, aux=[(t_col, -1.0)])
-                builder.add_x_row(-identity[j], 0.0, aux=[(t_col, -1.0)])
-            for center in uset.centers:
-                builder.add_x_row(center, row.b, aux=[(t_col, radius)])
-        else:
-            # LINF ball, dual is the sum norm: s_j >= |x_j| per coordinate.
-            s_cols = list(range(aux_next, aux_next + dim))
-            aux_next += dim
-            for j in range(dim):
-                builder.add_x_row(identity[j], 0.0, aux=[(s_cols[j], -1.0)])
-                builder.add_x_row(-identity[j], 0.0, aux=[(s_cols[j], -1.0)])
-            for center in uset.centers:
-                builder.add_x_row(
-                    center, row.b, aux=[(col, radius) for col in s_cols]
-                )
-
-    return builder
+        for center in uset.centers:
+            builder.add_x_row(center, row.b, aux=[(t_col[uset.norm], uset.radius)])
+    return builder, t_col
 
 
 def _certificate(rlp: RobustLinearProgram, x: np.ndarray) -> float:
@@ -432,11 +398,13 @@ def solve(
 ) -> SolveReport:
     """Solve a robust LP and certify the returned point.
 
-    Rows whose ball norm has a polyhedral dual (L1, LINF) and all
-    radius-zero rows are folded exactly into one LP.  L2 rows with a
-    positive radius are tightened by cutting planes: each round adds, per
-    violated row, the scenario point ``center* + radius * x/||x||_2`` of
-    the current iterate (first basis vector at x = 0).
+    All rows go into one LP, each robust center as
+    ``center . x + radius * t <= b`` over the epigraph column ``t`` of its
+    ball norm; the L1 and LINF epigraphs are exact.  While some L2 row of
+    positive radius has a worst case above its bound by more than
+    ``min(cut_tol, feasibility_tol)`` at the iterate ``x_hat``, each round
+    adds the one gradient cut ``(x_hat / ||x_hat||_2) . x <= t`` to the L2
+    cone and solves again.
     """
     dim = rlp.num_variables
     if rlp.bounds is not None:
@@ -448,9 +416,13 @@ def solve(
                 )
 
     vmap = _variable_map(rlp.bounds, dim)
-    builder = _assemble(rlp, vmap)
-    cut_rows = [row for row in rlp.robust_rows if _needs_cuts(row)]
-    if cut_rows:
+    builder, t_col = _assemble(rlp, vmap)
+    cone_rows = [
+        row
+        for row in rlp.robust_rows
+        if row.uncertainty_set.norm is Norm.L2 and row.uncertainty_set.radius > 0.0
+    ]
+    if cone_rows:
         identity = np.eye(dim)
         for j in range(dim):
             builder.add_x_row(identity[j], _TRUST_BOX)
@@ -471,17 +443,15 @@ def solve(
             )
         x_hat = vmap.matrix @ result.x[: builder.n_y] + vmap.shift
         objective = float(rlp.objective @ x_hat)
-        if not cut_rows:
-            return _report(
-                LPStatus.OPTIMAL, x_hat, objective, cuts_added,
-                _certificate(rlp, x_hat), feasibility_tol, cut_tol, max_cuts,
-            )
-
-        violations = [
-            worst_case_linear(row.uncertainty_set, x_hat) - row.b for row in cut_rows
-        ]
-        if max(violations) <= threshold:
-            if np.max(np.abs(x_hat)) >= _TRUST_BOX * (1.0 - 1e-9):
+        violation = max(
+            (
+                worst_case_linear(row.uncertainty_set, x_hat) - row.b
+                for row in cone_rows
+            ),
+            default=-math.inf,
+        )
+        if violation <= threshold:
+            if cone_rows and np.max(np.abs(x_hat)) >= _TRUST_BOX * (1.0 - 1e-9):
                 return _report(
                     LPStatus.UNBOUNDED, None, None, cuts_added, 0.0,
                     feasibility_tol, cut_tol, max_cuts,
@@ -490,20 +460,16 @@ def solve(
                 LPStatus.OPTIMAL, x_hat, objective, cuts_added,
                 _certificate(rlp, x_hat), feasibility_tol, cut_tol, max_cuts,
             )
-
-        pending = [i for i, v in enumerate(violations) if v > threshold]
-        if cuts_added + len(pending) > max_cuts:
+        if cuts_added >= max_cuts:
             return _report(
                 LPStatus.ITERATION_LIMIT, x_hat, objective, cuts_added,
                 _certificate(rlp, x_hat), feasibility_tol, cut_tol, max_cuts,
             )
-        direction = dual_achieving_direction(x_hat, Norm.L2)
-        for i in pending:
-            uset = cut_rows[i].uncertainty_set
-            i_star = int(np.argmax(uset.centers @ x_hat))
-            cut_point = uset.centers[i_star] + uset.radius * direction
-            builder.add_x_row(cut_point, cut_rows[i].b)
-        cuts_added += len(pending)
+        builder.add_x_row(
+            dual_achieving_direction(x_hat, Norm.L2), 0.0,
+            aux=[(t_col[Norm.L2], -1.0)],
+        )
+        cuts_added += 1
 
 
 def simplex_solve(c, a_ub, b_ub, *, max_iterations: int | None = None) -> SolveReport:
@@ -542,6 +508,8 @@ def pessimize(
         raise DimensionError(
             f"x has shape {x.shape}, expected ({rlp.num_variables},)"
         )
+    if not np.all(np.isfinite(x)):
+        raise ValueError("x must be finite")
     if not rlp.robust_rows:
         return float("-inf"), None
 
@@ -557,13 +525,14 @@ def pessimize(
     center = uset.centers[int(np.argmax(uset.centers @ x))]
     step = uset.radius * dual_achieving_direction(x, uset.norm)
     witness = center + step
-    # An L2 direction can overshoot the radius by an ulp; shave it back in.
-    scale = 1.0
-    for _ in range(16):
-        if member(uset, witness):
-            break
-        scale = np.nextafter(scale, 0.0)
-        witness = center + scale * step
+    # Rounding in the L2 direction, and in center + step when the radius is
+    # small next to the center, can land the point just outside the ball.
+    # Pull it toward the center by doubling shrinks; at shrink 1 it is the
+    # center itself, so the loop ends on a member.
+    shrink = 2.0**-52
+    while not member(uset, witness):
+        witness = center + (1.0 - shrink) * step
+        shrink *= 2.0
     return best_violation, (best_index, witness)
 
 

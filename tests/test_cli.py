@@ -169,6 +169,27 @@ class TestCalibrate:
         assert main(["calibrate"]) == 2
         assert "shape" in capsys.readouterr().err
 
+    def test_non_finite_center_exits_2(self, tmp_path, capsys):
+        shape = tmp_path / "shape.csv"
+        train = tmp_path / "train.csv"
+        shape.write_text("0.1,0.2\ninf,0.3\n")
+        np.savetxt(train, np.random.default_rng(5).normal(size=(50, 2)), delimiter=",")
+        rc = quiet_main(
+            [
+                "calibrate",
+                "--shape-csv",
+                str(shape),
+                "--train-csv",
+                str(train),
+                "--advisory",
+                "--out-dir",
+                str(tmp_path),
+            ]
+        )
+        assert rc == 2
+        assert "finite" in capsys.readouterr().err
+        assert not (tmp_path / "set.json").exists()
+
 
 class TestCoverage:
     ARGS = [
@@ -373,6 +394,29 @@ class TestSolve:
     def test_needs_a_model(self, capsys):
         assert main(["solve"]) == 2
         assert "exactly one" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "model",
+        [
+            {"rows": []},
+            {
+                "objective": [1.0],
+                "robust_rows": [
+                    {"set": {"norm": "l2", "radius": 0.1, "centers": [[0.5]]}}
+                ],
+            },
+            {"objective": [1.0], "robust_rows": [{"b": 1.0}]},
+            [1.0, 2.0],
+        ],
+        ids=["no-objective", "robust-row-without-b", "robust-row-without-set", "list"],
+    )
+    def test_malformed_model_exits_2(self, tmp_path, capsys, model):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(model))
+        rc = main(["solve", "--model", str(path), "--out-dir", str(tmp_path)])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error:")
+        assert not (tmp_path / "report.json").exists()
 
 
 class TestConfigResolution:

@@ -188,6 +188,8 @@ class TestUncertaintySet:
             UncertaintySet([(0, 0)], -1.0, Norm.L2)
         with pytest.raises(ValueError):
             UncertaintySet([(0, 0)], float("nan"), Norm.L2)
+        with pytest.raises(ValueError):
+            UncertaintySet([(0, float("inf"))], 1.0, Norm.L2)
         with pytest.raises(DimensionError):
             UncertaintySet(np.zeros((0, 2)), 1.0, Norm.L2)
         with pytest.raises(TypeError):

@@ -1,4 +1,4 @@
-"""Tests for robust linear programs and both solver paths."""
+"""Tests for robust linear programs and the cutting-plane solver."""
 
 import json
 import math
@@ -20,7 +20,6 @@ from ballcover.robust import (
     RobustRow,
     bundled_example,
     pessimize,
-    reformulate,
     simplex_solve,
     solve,
 )
@@ -91,41 +90,6 @@ def sample_in_ball(rng, radius, norm, n):
         cand = rng.uniform(-radius, radius, size=(2 * n, 2))
         points = np.vstack([points, cand[np.abs(cand).sum(axis=1) <= radius]])
     return points[:n]
-
-
-class TestReformulate:
-    def test_one_descriptor_per_center(self):
-        uset = UncertaintySet(
-            centers=[[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]], radius=0.3, norm=Norm.L1
-        )
-        terms = reformulate(RobustRow(uset, 2.0))
-        assert len(terms) == 3
-        for term, center in zip(terms, uset.centers):
-            np.testing.assert_array_equal(term.center, center)
-            assert term.radius == 0.3
-            assert term.bound == 2.0
-
-    def test_scenario_degenerate_is_a_linear_row(self):
-        uset = UncertaintySet(centers=[[1.0, 0.0]], radius=0.0, norm=Norm.L2)
-        (term,) = reformulate(RobustRow(uset, 1.0))
-        assert term.is_linear
-        assert term.evaluate([0.7, 55.0]) == 0.7
-
-    def test_descriptor_value_adds_dual_norm_term(self):
-        (term,) = reformulate(bundled_example().robust_rows[0])
-        value = term.evaluate([1.0, 1.0])
-        np.testing.assert_allclose(value, 1.0 + 0.1 * math.sqrt(2.0), rtol=1e-15)
-        assert value > 1.0
-        assert not term.is_linear
-
-    def test_accepts_bare_pair(self):
-        uset = UncertaintySet(centers=[[0.5, 0.5]], radius=0.1, norm=Norm.L2)
-        assert len(reformulate((uset, 1.0))) == 1
-
-    def test_evaluate_rejects_wrong_shape(self):
-        (term,) = reformulate(bundled_example().robust_rows[0])
-        with pytest.raises(DimensionError):
-            term.evaluate([1.0, 1.0, 1.0])
 
 
 class TestModelValidation:
@@ -488,6 +452,22 @@ class TestPessimize:
                     violation, worst_case_linear(uset, x), atol=1e-12
                 )
 
+    def test_witness_of_a_small_ball_is_a_member(self):
+        # Rounding in center + step here exceeds the radius by far more than
+        # a few ulps of the step.
+        uset = UncertaintySet(
+            [[0.94708096, -0.70373524]], 0.002738500170148095, Norm.L2
+        )
+        model = RobustLinearProgram(
+            objective=[1.0, 0.0], robust_rows=(RobustRow(uset, 0.0),)
+        )
+        x = np.random.default_rng(0).normal(size=2)
+        _, (_, witness) = pessimize(model, x)
+        assert member(uset, witness)
+        np.testing.assert_allclose(
+            float(witness @ x), worst_case_linear(uset, x), atol=1e-12
+        )
+
     def test_radius_zero_witness_is_the_best_center(self):
         centers = np.array([[1.0, 0.0], [0.0, 2.0]])
         uset = UncertaintySet(centers=centers, radius=0.0, norm=Norm.L2)
@@ -508,6 +488,10 @@ class TestPessimize:
     def test_wrong_length_rejected(self):
         with pytest.raises(DimensionError):
             pessimize(bundled_example(), [1.0, 2.0, 3.0])
+
+    def test_non_finite_point_rejected(self):
+        with pytest.raises(ValueError):
+            pessimize(bundled_example(), [float("inf"), 0.0])
 
 
 class TestCuttingTermination:
@@ -536,3 +520,31 @@ class TestCuttingTermination:
         np.testing.assert_allclose(
             objectives[-1], converged.objective_value, atol=1e-12
         )
+
+    def test_l2_cuts_converge_on_a_ten_dimensional_instance(self):
+        # Cutting each violated row at its own scenario point ran out of
+        # cuts here; cutting the one shared cone ||x||_2 <= t converges.
+        rng = np.random.default_rng(16)
+        d, m = 10, 50
+        objective = rng.uniform(0.2, 1.0, d)
+        centers = rng.uniform(0.0, 1.0, (m, d))
+
+        def model(norm):
+            return RobustLinearProgram(
+                objective=objective,
+                deterministic_rows=(LinearRow(np.ones(d), 10.0),),
+                robust_rows=(RobustRow(UncertaintySet(centers, 0.3, norm), 5.0),),
+                bounds=[(0.0, None)] * d,
+            )
+
+        l2 = model(Norm.L2)
+        report = solve(l2)
+        assert report.status is LPStatus.OPTIMAL
+        assert report.cuts_added < report.max_cuts
+        violation, _ = pessimize(l2, report.x_star)
+        assert violation <= report.feasibility_tol
+        # L1 ball inside L2 ball inside LINF ball: a larger set can only
+        # lower the robust optimum.
+        inner = solve(model(Norm.L1)).objective_value
+        outer = solve(model(Norm.LINF)).objective_value
+        assert outer - 1e-9 <= report.objective_value <= inner + 1e-9
