@@ -16,7 +16,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import gammaln
 
 from .geometry import DimensionError, Norm, UncertaintySet, shape_values
 
@@ -54,7 +53,8 @@ def _check_range(name: str, value: float, lo: float, hi: float) -> float:
 class TrainingScores:
     """An immutable batch of real-valued scores (nearest-center distances).
 
-    Scores must be non-empty and NaN-free so that sorting is a total order.
+    Scores must be non-empty and finite: NaN would break the total order of
+    the sort, and an infinite score could become an infinite radius.
     The sorted copy is cached because every quantile query needs it.
     """
 
@@ -66,8 +66,8 @@ class TrainingScores:
             raise ValueError(f"scores must be 1-D, got shape {arr.shape}")
         if arr.size == 0:
             raise ValueError("scores must be non-empty")
-        if np.isnan(arr).any():
-            raise ValueError("scores contain NaN")
+        if not np.isfinite(arr).all():
+            raise ValueError("scores must be finite (no NaN or inf)")
         values_arr = arr.copy()
         values_arr.setflags(write=False)
         sorted_arr = np.sort(arr)
@@ -202,6 +202,8 @@ class CalibrationSpec:
 
     @classmethod
     def from_dict(cls, data: dict) -> "CalibrationSpec":
+        if not isinstance(data, dict):
+            raise ValueError("calibration spec must be a JSON object")
         try:
             return cls(
                 alpha=float(data["alpha"]),
@@ -289,7 +291,10 @@ def chernoff_violation_bounds(
 def _binomial_cdf(k_max: int, n: int, p: float) -> float:
     # P(Bin(n, p) <= k_max) summed in log space.  Log-gamma keeps the
     # binomial coefficients finite and the ascending-magnitude summation
-    # keeps the result stable out to n ~ 1e6.
+    # keeps the result stable out to n ~ 1e6.  scipy is imported here, not
+    # at module top, so that importing ballcover does not load it.
+    from scipy.special import gammaln
+
     if k_max < 0:
         return 0.0
     if k_max >= n or p == 0.0:

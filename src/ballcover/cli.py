@@ -74,6 +74,42 @@ def _load_config(path: str, command: str) -> dict:
     return data
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+_NUMBER = ("a number", _is_number)
+_INT = ("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool))
+_STR = ("a string", lambda v: isinstance(v, str))
+_BOOL = ("true or false", lambda v: isinstance(v, bool))
+
+# The JSON type each config-file key must have.  Flags are typed by argparse;
+# a key whose default is None may also be null.
+_CONFIG_TYPES = {
+    "alpha": _NUMBER,
+    "epsilon": _NUMBER,
+    "delta": _NUMBER,
+    "lambda": ('a number or "optimal"', lambda v: _is_number(v) or isinstance(v, str)),
+    "norm": _STR,
+    "seed": _INT,
+    "strict": _BOOL,
+    "mixture": _STR,
+    "m": _INT,
+    "shape_csv": _STR,
+    "n": _INT,
+    "train_csv": _STR,
+    "trials": _INT,
+    "coverage_samples": _INT,
+    "resolution": _INT,
+    "bbox": (
+        "a list of four numbers",
+        lambda v: isinstance(v, list) and len(v) == 4 and all(map(_is_number, v)),
+    ),
+    "model": _STR,
+    "bundled_example": _BOOL,
+}
+
+
 def _resolve_config(defaults: dict, args) -> dict:
     """defaults, overlaid by the --config file, overlaid by explicit flags."""
     config = dict(defaults)
@@ -81,6 +117,9 @@ def _resolve_config(defaults: dict, args) -> dict:
         for key, value in _load_config(args.config, args.command).items():
             if key not in defaults:
                 raise ValueError(f"unknown config key {key!r} for {args.command}")
+            kind, accepts = _CONFIG_TYPES[key]
+            if not (accepts(value) or (value is None and defaults[key] is None)):
+                raise ValueError(f"config key {key!r} must be {kind}, got {value!r}")
             config[key] = value
     for key in defaults:
         value = getattr(args, key, None)
@@ -146,6 +185,9 @@ def _load_csv(path: str) -> np.ndarray:
     data = np.loadtxt(path, delimiter=",", ndmin=2, dtype=float)
     if data.size == 0:
         raise ValueError(f"no rows in {path}")
+    bad = np.flatnonzero(~np.isfinite(data).all(axis=1))
+    if bad.size:
+        raise ValueError(f"{path} row {bad[0] + 1} holds a non-finite value")
     return data
 
 
@@ -205,9 +247,7 @@ def _build_set(config: dict):
             config["n"] = spec.n_min
         training = mixture.sample(RandomStream(seed, 1), _positive_int(config, "n"))
 
-    strict = bool(config["strict"])
-    config["strict"] = strict
-    uset = calibrate_radius(shape, norm, training, spec, strict=strict)
+    uset = calibrate_radius(shape, norm, training, spec, strict=config["strict"])
     return uset, mixture
 
 
@@ -325,9 +365,8 @@ def _cmd_raster(args) -> int:
 def _cmd_solve(args) -> int:
     defaults = {"model": None, "bundled_example": False}
     config = _resolve_config(defaults, args)
-    if bool(config["bundled_example"]) == (config["model"] is not None):
+    if config["bundled_example"] == (config["model"] is not None):
         raise ValueError("pass exactly one of --model or --bundled-example")
-    config["bundled_example"] = bool(config["bundled_example"])
     if config["bundled_example"]:
         model = bundled_example()
     else:

@@ -32,9 +32,9 @@ __all__ = [
     "worst_case_linear",
 ]
 
-# Keep pairwise-distance work chunks below ~32M floats (~256 MB) so batch
+# Keep pairwise-distance work chunks below ~1M floats (~8 MB) so batch
 # scoring of large samples against many centers cannot exhaust memory.
-_CHUNK_BUDGET = 32_000_000
+_CHUNK_BUDGET = 1_000_000
 
 
 class DimensionError(ValueError):
@@ -196,6 +196,8 @@ class UncertaintySet:
 
     @classmethod
     def from_dict(cls, data: dict) -> "UncertaintySet":
+        if not isinstance(data, dict):
+            raise ValueError("uncertainty set must be a JSON object")
         try:
             norm = Norm(data["norm"])
             return cls(np.asarray(data["centers"], dtype=float), float(data["radius"]), norm)

@@ -5,6 +5,10 @@ once at construction, and construction fails loudly on anything that is not
 symmetric positive definite.  Sampling goes through :class:`RandomStream`,
 a (seed, stream_id) pair backed by a counter-based generator, so per-trial
 substreams can run in any order, or in parallel, with identical output.
+
+scipy is imported inside the two functions that need it
+(:meth:`GaussianMixture.density` and the 1-D branch of
+:func:`true_ball_mass`), so importing this module does not load it.
 """
 
 from __future__ import annotations
@@ -13,8 +17,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
-from scipy.special import ndtr
 
 from .geometry import DimensionError, Norm, UncertaintySet, norm_eval, shape_values
 
@@ -146,6 +148,8 @@ class GaussianMixture:
 
     def density(self, u) -> float | np.ndarray:
         """Mixture pdf at one point (d,) or a batch (n, d)."""
+        from scipy.linalg import solve_triangular
+
         arr = np.asarray(u, dtype=float)
         single = arr.ndim == 1
         pts = arr[np.newaxis, :] if single else arr
@@ -173,6 +177,8 @@ class GaussianMixture:
 
     @classmethod
     def from_dict(cls, data: dict) -> "GaussianMixture":
+        if not isinstance(data, dict):
+            raise ValueError("mixture must be a JSON object")
         try:
             weights = data["weights"]
             means = [comp["mean"] for comp in data["components"]]
@@ -213,6 +219,8 @@ def bundled_mixture(name: str) -> GaussianMixture:
 
 def _mass_1d(mix: GaussianMixture, uset: UncertaintySet) -> float:
     # Union of intervals; exact via the mixture CDF.
+    from scipy.special import ndtr
+
     r = uset.radius
     intervals = sorted((float(c[0]) - r, float(c[0]) + r) for c in uset.centers)
     merged = [intervals[0]]

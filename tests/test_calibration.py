@@ -79,6 +79,9 @@ class TestEmpiricalQuantile:
             TrainingScores([])
         with pytest.raises(ValueError):
             TrainingScores([1.0, float("nan")])
+        for bad in (float("inf"), float("-inf")):
+            with pytest.raises(ValueError, match="finite"):
+                TrainingScores([1.0, bad])
         with pytest.raises(AttributeError):
             TrainingScores([1.0]).values = None
 
@@ -267,6 +270,10 @@ class TestCalibrationSpec:
         assert isinstance(data["lambda"], float)
         again = CalibrationSpec.from_dict(data)
         assert again == spec
+
+    def test_from_dict_non_object(self):
+        with pytest.raises(ValueError, match="JSON object"):
+            CalibrationSpec.from_dict([0.9, 0.05, 0.05])
 
     def test_bad_lambda_string(self):
         with pytest.raises(ValueError):

@@ -190,6 +190,31 @@ class TestCalibrate:
         assert "finite" in capsys.readouterr().err
         assert not (tmp_path / "set.json").exists()
 
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    def test_non_finite_training_row_exits_2(self, tmp_path, capsys, value):
+        shape = tmp_path / "shape.csv"
+        train = tmp_path / "train.csv"
+        np.savetxt(shape, np.random.default_rng(6).normal(size=(5, 2)), delimiter=",")
+        rows = np.random.default_rng(7).normal(size=(50, 2)).astype(str).tolist()
+        rows[17][1] = value
+        train.write_text("".join(",".join(row) + "\n" for row in rows))
+        rc = quiet_main(
+            [
+                "calibrate",
+                "--shape-csv",
+                str(shape),
+                "--train-csv",
+                str(train),
+                "--advisory",
+                "--out-dir",
+                str(tmp_path),
+            ]
+        )
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert str(train) in err and "row 18" in err and "non-finite" in err
+        assert not (tmp_path / "set.json").exists()
+
 
 class TestCoverage:
     ARGS = [
@@ -441,6 +466,23 @@ class TestConfigResolution:
         rc = main(["calibrate", "--config", str(tmp_path / "manifest.json")])
         assert rc == 2
         assert "calibrate" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "config, key",
+        [
+            ({"mixture": "peaked", "m": 10, "alpha": [1]}, "alpha"),
+            ({"mixture": 5, "m": 10}, "mixture"),
+            ({"mixture": "peaked", "m": 10, "strict": "no"}, "strict"),
+        ],
+        ids=["list-alpha", "numeric-mixture", "string-strict"],
+    )
+    def test_wrongly_typed_value_exits_2(self, tmp_path, capsys, config, key):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        rc = main(["calibrate", "--config", str(cfg), "--out-dir", str(tmp_path)])
+        assert rc == 2
+        assert f"config key {key!r}" in capsys.readouterr().err
+        assert not (tmp_path / "set.json").exists()
 
     def test_missing_config_file_exits_2(self, capsys):
         assert main(["samplesize", "--config", "/nonexistent/cfg.json"]) == 2

@@ -213,6 +213,10 @@ class TestUncertaintySet:
         with pytest.raises(ValueError):
             UncertaintySet.from_dict({"norm": "l2", "radius": 1.0})
 
+    def test_from_dict_non_object(self):
+        with pytest.raises(ValueError, match="JSON object"):
+            UncertaintySet.from_dict([[0.0, 0.0]])
+
 
 class TestWorstCaseLinear:
     def test_l2_ball_closed_form(self):

@@ -236,3 +236,7 @@ class TestBundledMixtures:
     def test_from_dict_missing_key(self):
         with pytest.raises(ValueError):
             GaussianMixture.from_dict({"weights": [1.0]})
+
+    def test_from_dict_non_object(self):
+        with pytest.raises(ValueError, match="JSON object"):
+            GaussianMixture.from_dict("peaked")
