@@ -16,7 +16,14 @@ from pathlib import Path
 import numpy as np
 
 from .calibration import CalibrationSpec, calibrate_radius
-from .geometry import DimensionError, Norm, UncertaintySet, member_batch
+from .geometry import (
+    _CHUNK_BUDGET,
+    DimensionError,
+    Norm,
+    UncertaintySet,
+    _within,
+    member_batch,
+)
 from .mixtures import GaussianMixture, RandomStream
 
 __all__ = [
@@ -215,28 +222,76 @@ def run_role_of_m_study(
     return entries
 
 
-def _cell_centers(bbox, resolution: int) -> tuple[np.ndarray, int]:
+def _cell_centers(bbox, resolution: int) -> tuple[np.ndarray, np.ndarray]:
+    """Cell-center x coordinates (left to right) and y coordinates (top to bottom)."""
     if not (isinstance(resolution, (int, np.integer)) and resolution >= 1):
         raise ValueError(f"resolution must be a positive integer, got {resolution!r}")
     (xmin, xmax), (ymin, ymax) = bbox
+    if not np.all(np.isfinite([xmin, xmax, ymin, ymax, xmax - xmin, ymax - ymin])):
+        raise ValueError(f"bbox bounds and side lengths must be finite, got {bbox!r}")
     if not (xmax > xmin and ymax > ymin):
         raise ValueError(f"bbox sides must have positive length, got {bbox!r}")
     offsets = (np.arange(resolution) + 0.5) / resolution
     xs = xmin + offsets * (xmax - xmin)
     # Row 0 is the top of the picture: y decreases down the rows.
     ys = ymax - offsets * (ymax - ymin)
-    grid_x, grid_y = np.meshgrid(xs, ys)
-    return np.column_stack([grid_x.ravel(), grid_y.ravel()]), int(resolution)
+    return xs, ys
+
+
+def _windows(axis: np.ndarray, coords: np.ndarray, radius: float) -> tuple[np.ndarray, int]:
+    """First cell and common width of each ball's window along one ascending axis.
+
+    A window holds the cells within ``radius`` of the coordinate, widened by
+    one cell on each side so that rounding in ``coord +- radius`` cannot drop
+    a cell.  All windows take the widest one's width (the balls share one
+    radius, so widths differ by at most one cell) and are shifted back inside
+    the axis where they would hang over its ends.
+    """
+    lo = np.searchsorted(axis, coords - radius, side="left") - 1
+    hi = np.searchsorted(axis, coords + radius, side="right") + 1
+    width = min(int((hi - lo).max()), axis.size)
+    return np.clip(lo, 0, axis.size - width), width
 
 
 def raster_set(uset: UncertaintySet, bbox, resolution: int) -> np.ndarray:
-    """Boolean membership grid over cell centers; row 0 is the top row."""
+    """Boolean membership grid over cell centers; row 0 is the top row.
+
+    Each ball is stamped onto its own window of cells (see :func:`_windows`)
+    instead of testing every cell against every center.  A cell outside a
+    ball's window lies a full cell beyond ``center +- radius`` along one
+    axis, so it is outside that ball in every p-norm (unless the cells are
+    only a few ulps wide); inside the window each (cell, center) pair is
+    tested with the arithmetic of :func:`~ballcover.geometry.member_batch`.
+    The grid therefore equals ``member_batch(uset, cell_centers)`` bit for
+    bit, at a cost that grows with the number of balls times the cells one
+    ball covers rather than times all cells.
+    """
     if uset.dimension != 2:
         raise DimensionError(
             f"rasters need a 2-D set, got {uset.dimension} dimensions"
         )
-    points, resolution = _cell_centers(bbox, resolution)
-    return member_batch(uset, points).reshape(resolution, resolution)
+    xs, ys = _cell_centers(bbox, resolution)
+    centers, radius = uset.centers, uset.radius
+    col_start, cols = _windows(xs, centers[:, 0], radius)
+    # ys falls down the rows; its negation rises, as searchsorted needs.
+    row_start, rows = _windows(-ys, -centers[:, 1], radius)
+    grid = np.zeros((ys.size, xs.size), dtype=bool)
+    # Keep each (balls, rows, cols, 2) block of cell coordinates under the
+    # kernel's budget; a window as large as the grid is cut into row bands.
+    band = max(1, min(rows, _CHUNK_BUDGET // (2 * cols)))
+    chunk = max(1, _CHUNK_BUDGET // (2 * band * cols))
+    for first in range(0, uset.num_balls, chunk):
+        batch = slice(first, first + chunk)
+        ball = centers[batch, np.newaxis, np.newaxis, :]
+        window_cols = col_start[batch, np.newaxis, np.newaxis] + np.arange(cols)
+        for top in range(0, rows, band):
+            band_rows = np.arange(top, min(top + band, rows))[:, np.newaxis]
+            row, col = np.broadcast_arrays(
+                row_start[batch, np.newaxis, np.newaxis] + band_rows, window_cols
+            )
+            hits = _within(np.stack([xs[col], ys[row]], axis=-1), ball, uset.norm, radius)
+            grid[row[hits], col[hits]] = True
+    return grid
 
 
 def raster_density(mix: GaussianMixture, bbox, resolution: int) -> np.ndarray:
@@ -245,8 +300,10 @@ def raster_density(mix: GaussianMixture, bbox, resolution: int) -> np.ndarray:
         raise DimensionError(
             f"rasters need a 2-D mixture, got {mix.dimension} dimensions"
         )
-    points, resolution = _cell_centers(bbox, resolution)
-    return np.asarray(mix.density(points)).reshape(resolution, resolution)
+    xs, ys = _cell_centers(bbox, resolution)
+    grid_x, grid_y = np.meshgrid(xs, ys)
+    points = np.column_stack([grid_x.ravel(), grid_y.ravel()])
+    return np.asarray(mix.density(points)).reshape(ys.size, xs.size)
 
 
 def write_pgm(path, grid) -> None:

@@ -146,6 +146,16 @@ def shape_values(centers, norm: Norm, points) -> np.ndarray:
     return out
 
 
+def _within(points: np.ndarray, centers: np.ndarray, norm: Norm, radius: float) -> np.ndarray:
+    """``||points - centers||_p <= radius`` over broadcast (..., d) arrays.
+
+    Each pair goes through the same arithmetic as :func:`shape_values`
+    (``points - centers``, then :func:`_reduce`), so the result agrees bit
+    for bit with :func:`member_batch` on those pairs.
+    """
+    return _reduce(points - centers, norm) <= radius
+
+
 def shape_value(centers, norm: Norm, u) -> float:
     """Distance from a single point u to its nearest center."""
     u = _vector(u, "u")

@@ -6,9 +6,9 @@ symmetric positive definite.  Sampling goes through :class:`RandomStream`,
 a (seed, stream_id) pair backed by a counter-based generator, so per-trial
 substreams can run in any order, or in parallel, with identical output.
 
-scipy is imported inside the two functions that need it
-(:meth:`GaussianMixture.density` and the 1-D branch of
-:func:`true_ball_mass`), so importing this module does not load it.
+scipy is imported only inside the 1-D branch of :func:`true_ball_mass`, so
+importing this module does not load it; :meth:`GaussianMixture.density`
+solves its d x d triangular systems with numpy.
 """
 
 from __future__ import annotations
@@ -148,8 +148,6 @@ class GaussianMixture:
 
     def density(self, u) -> float | np.ndarray:
         """Mixture pdf at one point (d,) or a batch (n, d)."""
-        from scipy.linalg import solve_triangular
-
         arr = np.asarray(u, dtype=float)
         single = arr.ndim == 1
         pts = arr[np.newaxis, :] if single else arr
@@ -162,7 +160,7 @@ class GaussianMixture:
         for w, mean, factor, log_norm in zip(
             self._weights, self._means, self._factors, self._log_norms
         ):
-            z = solve_triangular(factor, (pts - mean).T, lower=True)
+            z = np.linalg.solve(factor, (pts - mean).T)
             out += w * np.exp(log_norm - 0.5 * np.square(z).sum(axis=0))
         return float(out[0]) if single else out
 

@@ -322,6 +322,22 @@ class TestRaster:
         assert payload["bbox"] == [-1.0, 1.0, -1.0, 1.0]
         assert payload["box_area"] == 4.0
 
+    @pytest.mark.parametrize(
+        "bbox",
+        [[0.0, math.inf, 0.0, 1.0], [0.0, 1.0, math.nan, 1.0], [-1e308, 1e308, 0.0, 1.0]],
+        ids=["infinite-bound", "nan-bound", "infinite-width"],
+    )
+    def test_non_finite_bbox_exits_2_before_writing(self, tmp_path, capsys, bbox):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"bbox": bbox}))
+        out = tmp_path / "out"
+        rc = quiet_main(
+            ["raster", *CAL_ARGS, "--resolution", "8", "--config", str(cfg), "--out-dir", str(out)]
+        )
+        assert rc == 2
+        assert "bbox" in capsys.readouterr().err
+        assert not list(out.glob("set.*"))
+
     def test_csv_sources_skip_density(self, tmp_path, capsys):
         rng = np.random.default_rng(4)
         shape = tmp_path / "shape.csv"

@@ -5,7 +5,10 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from ballcover import experiments
 from ballcover.calibration import (
     CalibrationSpec,
     UndersampledWarning,
@@ -24,7 +27,14 @@ from ballcover.experiments import (
     write_grid_csv,
     write_pgm,
 )
-from ballcover.geometry import DimensionError, Norm, UncertaintySet
+from ballcover.geometry import (
+    _CHUNK_BUDGET,
+    DimensionError,
+    Norm,
+    UncertaintySet,
+    _within,
+    member_batch,
+)
 from ballcover.mixtures import GaussianMixture, RandomStream, bundled_mixture, true_ball_mass
 
 
@@ -224,6 +234,14 @@ class TestRasterSet:
             raster_set(uset, ((1.0, -1.0), (-1.0, 1.0)), 4)
         with pytest.raises(ValueError):
             raster_set(uset, ((-1.0, 1.0), (-1.0, 1.0)), 0)
+        # Non-finite bounds, and finite bounds whose side length overflows.
+        for bbox in [
+            ((0.0, math.inf), (0.0, 1.0)),
+            ((-1.0, 1.0), (math.nan, 1.0)),
+            ((-1e308, 1e308), (0.0, 1.0)),
+        ]:
+            with pytest.raises(ValueError, match="bbox"):
+                raster_set(uset, bbox, 4)
 
     def test_density_raster_shape_and_peak(self):
         grid = raster_density(standard_normal_2d(), ((-3.0, 3.0), (-3.0, 3.0)), 31)
@@ -231,6 +249,122 @@ class TestRasterSet:
         # The odd resolution puts one cell center exactly at the mode.
         assert grid.argmax() == (31 * 31) // 2
         np.testing.assert_allclose(grid.max(), 1.0 / (2.0 * math.pi), rtol=1e-12)
+
+
+def brute_force_raster(uset, bbox, resolution):
+    """``member_batch`` on every cell center, row 0 at the top of the box."""
+    (xmin, xmax), (ymin, ymax) = bbox
+    offsets = (np.arange(resolution) + 0.5) / resolution
+    grid_x, grid_y = np.meshgrid(xmin + offsets * (xmax - xmin), ymax - offsets * (ymax - ymin))
+    cells = np.column_stack([grid_x.ravel(), grid_y.ravel()])
+    return member_batch(uset, cells).reshape(resolution, resolution)
+
+
+ALL_NORMS = pytest.mark.parametrize("norm", list(Norm), ids=lambda n: n.value)
+
+
+class TestRasterMatchesMemberBatch:
+    """The windowed raster equals the all-pairs membership test exactly."""
+
+    @ALL_NORMS
+    def test_auto_fit_box_many_centers(self, norm):
+        centers = bundled_mixture("fourmode").sample(RandomStream(0, 0), 1000)
+        uset = UncertaintySet(centers, 0.21, norm)
+        lo, hi = experiments._volume_box(uset)
+        bbox = ((lo[0], hi[0]), (lo[1], hi[1]))
+        grid = raster_set(uset, bbox, 64)
+        assert 0 < grid.mean() < 1
+        np.testing.assert_array_equal(grid, brute_force_raster(uset, bbox, 64))
+
+    @ALL_NORMS
+    @pytest.mark.parametrize(
+        "bbox",
+        [((-1.0, 0.5), (-0.3, 2.0)), ((20.0, 21.0), (-5.0, -4.0))],
+        ids=["crops-balls", "holds-no-ball"],
+    )
+    def test_cropping_and_empty_boxes(self, norm, bbox):
+        centers = np.random.default_rng(1).normal(size=(40, 2))
+        uset = UncertaintySet(centers, 0.4, norm)
+        grid = raster_set(uset, bbox, 37)
+        np.testing.assert_array_equal(grid, brute_force_raster(uset, bbox, 37))
+
+    @ALL_NORMS
+    def test_radius_zero_on_a_cell_center(self, norm):
+        # (0.25, 0.25) and (-0.75, 0.75) are cell centers of the 4x4 grid.
+        uset = UncertaintySet([[0.25, 0.25], [-0.75, 0.75], [0.1, -0.3]], 0.0, norm)
+        bbox = ((-1.0, 1.0), (-1.0, 1.0))
+        grid = raster_set(uset, bbox, 4)
+        assert grid.sum() == 2
+        np.testing.assert_array_equal(grid, brute_force_raster(uset, bbox, 4))
+
+    @ALL_NORMS
+    @pytest.mark.parametrize("radius", [0.1, 2.0])
+    def test_resolution_one(self, norm, radius):
+        uset = UncertaintySet([[0.3, -0.2], [5.0, 5.0]], radius, norm)
+        bbox = ((-1.0, 1.0), (-1.0, 1.0))
+        np.testing.assert_array_equal(
+            raster_set(uset, bbox, 1), brute_force_raster(uset, bbox, 1)
+        )
+
+    @ALL_NORMS
+    def test_radius_equal_to_a_cell_distance_is_inside(self, norm):
+        uset = UncertaintySet([[1.5, 1.5]], 1.0, norm)
+        bbox = ((0.0, 4.0), (0.0, 4.0))
+        grid = raster_set(uset, bbox, 4)
+        # Cell centers sit at 0.5, 1.5, 2.5, 3.5; row 0 is y = 3.5, so the
+        # cell (2.5, 1.5) is row 2, column 2, exactly 1 from the center.
+        assert grid[2, 2]
+        np.testing.assert_array_equal(grid, brute_force_raster(uset, bbox, 4))
+
+    @ALL_NORMS
+    def test_rounding_in_center_plus_radius_keeps_the_cell(self, norm):
+        # The radius is the computed distance to the cell (0.03125, 0.96875),
+        # but center + radius rounds to just below 0.03125: only the one-cell
+        # margin of the window keeps that cell in the test.
+        cx = -0.018610439872138774
+        uset = UncertaintySet([[cx, 0.96875]], 0.03125 - cx, norm)
+        assert cx + uset.radius < 0.03125
+        bbox = ((0.0, 1.0), (0.0, 1.0))
+        grid = raster_set(uset, bbox, 16)
+        assert grid[0, 0]
+        np.testing.assert_array_equal(grid, brute_force_raster(uset, bbox, 16))
+
+    @ALL_NORMS
+    def test_window_covering_the_grid_stays_under_the_chunk_budget(self, norm, monkeypatch):
+        blocks = []
+
+        def recording_within(points, centers, *args):
+            blocks.append(np.broadcast_shapes(points.shape, centers.shape))
+            return _within(points, centers, *args)
+
+        monkeypatch.setattr(experiments, "_within", recording_within)
+        uset = UncertaintySet([[0.0, 0.0], [0.3, -0.4], [-2.0, 2.0]], 1.5, norm)
+        bbox = ((-1.0, 1.0), (-1.0, 1.0))
+        grid = raster_set(uset, bbox, 1024)
+        assert max(math.prod(shape) for shape in blocks) <= _CHUNK_BUDGET
+        # Every window is the whole 1024 x 1024 grid, cut into row bands.
+        assert all(shape[2] == 1024 for shape in blocks)
+        assert sum(shape[0] * shape[1] for shape in blocks) == 3 * 1024
+        np.testing.assert_array_equal(grid, brute_force_raster(uset, bbox, 1024))
+
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        m=st.integers(1, 30),
+        resolution=st.integers(1, 40),
+        norm=st.sampled_from(list(Norm)),
+    )
+    def test_random_sets_and_boxes(self, seed, m, resolution, norm):
+        rng = np.random.default_rng(seed)
+        uset = UncertaintySet(
+            rng.normal(scale=2.0, size=(m, 2)), float(rng.choice([0.0, rng.exponential()])), norm
+        )
+        corner = rng.uniform(-4.0, 2.0, size=2)
+        side = rng.uniform(0.01, 6.0, size=2)
+        bbox = ((corner[0], corner[0] + side[0]), (corner[1], corner[1] + side[1]))
+        np.testing.assert_array_equal(
+            raster_set(uset, bbox, resolution), brute_force_raster(uset, bbox, resolution)
+        )
 
 
 class TestGridFiles:

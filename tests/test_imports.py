@@ -13,6 +13,9 @@ with contextlib.redirect_stdout(io.StringIO()), tempfile.TemporaryDirectory() as
     codes = [
         cli.main(["samplesize"]),
         cli.main(["solve", "--bundled-example", "--out-dir", tmp]),
+        cli.main(
+            ["raster", "--mixture", "fourmode", "--m", "50", "--resolution", "16", "--out-dir", tmp]
+        ),
     ]
 scipy = sorted(name for name in sys.modules if name.startswith("scipy"))
 print(json.dumps({"codes": codes, "scipy": scipy}))
@@ -24,5 +27,5 @@ def test_cli_commands_load_no_scipy():
         [sys.executable, "-c", SCRIPT], capture_output=True, text=True, check=True
     )
     result = json.loads(proc.stdout)
-    assert result["codes"] == [0, 0]
+    assert result["codes"] == [0, 0, 0]
     assert result["scipy"] == []

@@ -87,6 +87,25 @@ class TestDensity:
         assert np.all(values >= 0)
         assert np.all(np.isfinite(np.log(values)))
 
+    def test_correlated_covariances_match_the_closed_form(self):
+        # Non-diagonal Cholesky factors: the bundled mixtures are all diagonal.
+        covs = [
+            np.array([[2.0, 0.9, -0.4], [0.9, 1.0, 0.3], [-0.4, 0.3, 0.8]]),
+            np.array([[0.5, -0.2, 0.1], [-0.2, 1.5, 0.7], [0.1, 0.7, 1.2]]),
+        ]
+        means = [np.array([0.5, -1.0, 0.0]), np.array([-1.0, 2.0, 1.0])]
+        weights = [0.3, 0.7]
+        mix = GaussianMixture(weights, means, covs)
+        pts = np.random.default_rng(8).normal(scale=1.5, size=(200, 3))
+        expected = np.zeros(len(pts))
+        for w, mean, cov in zip(weights, means, covs):
+            diff = pts - mean
+            quad = np.einsum("ni,ij,nj->n", diff, np.linalg.inv(cov), diff)
+            expected += w * np.exp(-0.5 * quad) / math.sqrt(
+                (2 * math.pi) ** 3 * np.linalg.det(cov)
+            )
+        np.testing.assert_allclose(mix.density(pts), expected, rtol=1e-12)
+
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionError):
             std_normal(2).density([1.0, 2.0, 3.0])
