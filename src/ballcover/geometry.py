@@ -32,9 +32,11 @@ __all__ = [
     "worst_case_linear",
 ]
 
-# Keep pairwise-distance work chunks below ~1M floats (~8 MB) so batch
-# scoring of large samples against many centers cannot exhaust memory.
-_CHUNK_BUDGET = 1_000_000
+# Floats per pairwise-distance block: 64K floats (512 KB), so a block, its
+# abs/square temporary and its row sums stay in one core's L2 cache.  A block
+# holds at least one row, so a single row wider than the budget (m * d above
+# it) still makes one block.
+_CHUNK_BUDGET = 65_536
 
 
 class DimensionError(ValueError):
@@ -128,6 +130,11 @@ def shape_values(centers, norm: Norm, points) -> np.ndarray:
     Returns
     -------
     (n,) array with entry j equal to min_i ||points[j] - centers[i]||_p.
+
+    Points are scored in blocks whose ``(rows, m, d)`` difference array
+    holds at most ``_CHUNK_BUDGET`` floats (at least one row), so the
+    scratch memory does not grow with n.  Each pair's arithmetic is the
+    same in every block, so the result does not depend on the block size.
     """
     centers = _matrix(centers, "centers")
     points = _matrix(points, "points")

@@ -87,6 +87,9 @@ class GaussianMixture:
         d = means.shape[1]
         if covariances.shape[1:] != (d, d):
             raise ValueError(f"covariances must be (k, {d}, {d}), got {covariances.shape}")
+        for name, arr in (("weights", weights), ("means", means), ("covariances", covariances)):
+            if not np.all(np.isfinite(arr)):
+                raise ValueError(f"{name} must be finite")
         if np.any(weights <= 0):
             raise ValueError("weights must be strictly positive")
         total = float(weights.sum())
@@ -135,7 +138,16 @@ class GaussianMixture:
         return int(self._means.shape[1])
 
     def sample(self, stream: RandomStream, n: int) -> np.ndarray:
-        """Draw n i.i.d. points: weighted component choice, then mean + L z."""
+        """Draw n i.i.d. points: weighted component choice, then mean + L z.
+
+        The standard normals are transformed in place, one component's rows
+        at a time, so the scratch memory is a few (n, d) arrays; no (n, d, d)
+        copy of the factors is made.  Each point goes through the same
+        products and sums as ``means[comp] + einsum("nij,nj->ni",
+        factors[comp], z)``, so the draws are identical to that formula's.
+        """
+        if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
+            raise TypeError(f"n must be an integer, got {type(n).__name__}")
         if n < 0:
             raise ValueError(f"n must be >= 0, got {n}")
         d = self.dimension
@@ -144,7 +156,14 @@ class GaussianMixture:
         rng = stream.generator()
         comp = rng.choice(self.num_components, size=n, p=self._weights)
         z = rng.standard_normal((n, d))
-        return self._means[comp] + np.einsum("nij,nj->ni", self._factors[comp], z)
+        # The components' row sets are disjoint, so each write touches only
+        # rows that no other component reads.
+        for k, (mean, factor) in enumerate(zip(self._means, self._factors)):
+            rows = np.flatnonzero(comp == k)
+            points = np.einsum("ij,nj->ni", factor, z.take(rows, axis=0))
+            points += mean
+            z[rows] = points
+        return z
 
     def density(self, u) -> float | np.ndarray:
         """Mixture pdf at one point (d,) or a batch (n, d)."""

@@ -1,8 +1,11 @@
 """Tests for norms, the nearest-center shape function, and set geometry."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from ballcover import geometry
 from ballcover.geometry import (
     DimensionError,
     Norm,
@@ -144,6 +147,41 @@ class TestShapeValue:
             shape_value([(0, 0)], Norm.L2, (1, 2, 3))
         with pytest.raises(DimensionError):
             shape_values(np.zeros((2, 2)), Norm.L2, np.zeros((3, 4)))
+
+
+class TestBlocks:
+    """``shape_values`` scores points in blocks of ``_CHUNK_BUDGET`` floats."""
+
+    @pytest.mark.parametrize("m", [1, 10, 1000])
+    @pytest.mark.parametrize("d", [1, 2, 3, 8, 9, 20])
+    def test_exact_at_every_block_size(self, d, m, monkeypatch):
+        # 1009 and 211 are prime, so no block size above one divides the
+        # point count and a multi-block split always ends on a short block;
+        # budget 1 makes one point per block.
+        rng = np.random.default_rng(100 * d + m)
+        centers = rng.normal(size=(m, d))
+        points = rng.normal(size=(1009 if m < 1000 else 211, d))
+        for norm in ALL_NORMS:
+            results = []
+            for budget in (1, 7, 4096, 65_536, 1_000_000):
+                monkeypatch.setattr(geometry, "_CHUNK_BUDGET", budget)
+                results.append(shape_values(centers, norm, points))
+            for result in results[1:]:
+                np.testing.assert_array_equal(result, results[0])
+
+    def test_scratch_memory_does_not_grow_with_the_sample(self):
+        # 20k points against 1000 centers are 40M floats (320 MB) of
+        # differences; blocked, the peak is a few 512 KB blocks plus the output.
+        rng = np.random.default_rng(5)
+        centers = rng.normal(size=(1000, 2))
+        points = rng.normal(size=(20_000, 2))
+        tracemalloc.start()
+        try:
+            shape_values(centers, Norm.L2, points)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
 
 
 class TestUncertaintySet:

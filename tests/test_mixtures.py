@@ -1,6 +1,7 @@
 """Tests for Gaussian mixtures, random streams, and the mass oracle."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,6 +18,25 @@ from ballcover.mixtures import (
 
 def std_normal(d):
     return GaussianMixture([1.0], [np.zeros(d)], [np.eye(d)])
+
+
+def correlated(d, k=3, seed=0):
+    """A k-component mixture with dense, well-conditioned covariances."""
+    rng = np.random.default_rng(seed)
+    covs = []
+    for _ in range(k):
+        a = rng.normal(size=(d, d))
+        covs.append(a @ a.T + 0.5 * np.eye(d))
+    weights = rng.random(k) + 0.1
+    return GaussianMixture(weights / weights.sum(), 3.0 * rng.normal(size=(k, d)), covs)
+
+
+def gather_sample(mix, stream, n):
+    """Sampling as an (n, d, d) gather of the factors: the reference formula."""
+    rng = stream.generator()
+    comp = rng.choice(mix.num_components, size=n, p=mix.weights)
+    z = rng.standard_normal((n, mix.dimension))
+    return mix.means[comp] + np.einsum("nij,nj->ni", mix._factors[comp], z)
 
 
 class TestConstruction:
@@ -49,6 +69,21 @@ class TestConstruction:
             [0.5 + 2e-10, 0.5], [(0, 0), (1, 1)], [np.eye(2)] * 2
         )
         assert abs(mix.weights.sum() - 1.0) <= 1e-12
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_mean_rejected(self, bad):
+        with pytest.raises(ValueError, match="means must be finite"):
+            GaussianMixture([0.5, 0.5], [(0.0, 0.0), (bad, 1.0)], [np.eye(2)] * 2)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_covariance_rejected(self, bad):
+        with pytest.raises(ValueError, match="covariances must be finite"):
+            GaussianMixture([1.0], [(0.0, 0.0)], [[[bad, 0.0], [0.0, 1.0]]])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_weight_rejected(self, bad):
+        with pytest.raises(ValueError, match="weights must be finite"):
+            GaussianMixture([bad, 0.5], [(0.0, 0.0), (1.0, 1.0)], [np.eye(2)] * 2)
 
     def test_immutable_arrays(self):
         mix = std_normal(2)
@@ -132,6 +167,49 @@ class TestSampling:
     def test_negative_count_rejected(self):
         with pytest.raises(ValueError):
             std_normal(2).sample(RandomStream(1), -1)
+
+    @pytest.mark.parametrize("n", [True, 2.0, np.float64(3.0), "4"])
+    def test_non_integer_count_rejected(self, n):
+        with pytest.raises(TypeError, match="n must be an integer"):
+            std_normal(2).sample(RandomStream(1), n)
+
+    def test_numpy_integer_count_accepted(self):
+        assert std_normal(2).sample(RandomStream(1), np.int64(3)).shape == (3, 2)
+
+    @pytest.mark.parametrize(
+        "mix",
+        [bundled_mixture(name) for name in ("isotropic", "peaked", "fourmode")]
+        + [correlated(d, seed=d) for d in (1, 3, 8, 9, 20)],
+        ids=["isotropic", "peaked", "fourmode", "d1", "d3", "d8", "d9", "d20"],
+    )
+    @pytest.mark.parametrize("n", [0, 1, 2, 4918])
+    def test_matches_the_gather_formula_bit_for_bit(self, mix, n):
+        for seed in range(4):
+            stream = RandomStream(seed, 11)
+            np.testing.assert_array_equal(
+                mix.sample(stream, n), gather_sample(mix, stream, n)
+            )
+
+    def test_component_without_draws(self):
+        mix = GaussianMixture(
+            [0.98, 0.01, 0.01], [(0.0, 0.0), (5.0, 5.0), (-5.0, 5.0)],
+            [np.eye(2), [[2.0, 0.9], [0.9, 1.0]], 0.3 * np.eye(2)],
+        )
+        stream = RandomStream(3, 0)
+        comp = stream.generator().choice(3, size=4, p=mix.weights)
+        assert np.bincount(comp, minlength=3).min() == 0
+        np.testing.assert_array_equal(mix.sample(stream, 4), gather_sample(mix, stream, 4))
+
+    def test_scratch_memory_has_no_factor_gather(self):
+        # An (n, d, d) gather of the factors alone would be 64 MB here.
+        mix = correlated(20, seed=2)
+        tracemalloc.start()
+        try:
+            mix.sample(RandomStream(4, 0), 20_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 20 * 2**20
 
     def test_density_integrates_to_one(self):
         # Importance sampling against a wide proposal.
