@@ -1,105 +1,22 @@
-"""Union-of-balls uncertainty sets with finite-sample mass guarantees."""
+"""Union-of-balls uncertainty sets with finite-sample mass guarantees.
+
+The top level holds the names of the README's library example; every other
+name is imported from its submodule (``ballcover.robust``,
+``ballcover.experiments``, ``ballcover.geometry``, ...).
+"""
 
 __version__ = "0.1.0"
 
-from .calibration import (
-    CalibrationSpec,
-    TrainingScores,
-    UndersampledError,
-    UndersampledWarning,
-    binomial_lower_tail_bound,
-    calibrate_radius,
-    chernoff_violation_bounds,
-    empirical_quantile,
-    exact_violation_probs,
-    optimal_lambda,
-    planning_constant,
-    sample_size,
-)
-from .experiments import (
-    ConsistencyConfig,
-    CoverageReport,
-    estimate_coverage,
-    raster_density,
-    raster_set,
-    run_consistency_experiment,
-    run_role_of_m_study,
-    write_grid_csv,
-    write_pgm,
-)
-from .geometry import (
-    DimensionError,
-    Norm,
-    UncertaintySet,
-    dual_achieving_direction,
-    dual_norm_eval,
-    member,
-    member_batch,
-    norm_eval,
-    shape_value,
-    shape_values,
-    worst_case_linear,
-)
-from .mixtures import GaussianMixture, RandomStream, bundled_mixture, true_ball_mass
-from .robust import (
-    LinearRow,
-    ModelError,
-    RobustLinearProgram,
-    RobustRow,
-    SolveReport,
-    bundled_example,
-    pessimize,
-    simplex_solve,
-    solve,
-)
-from .simplex import LPResult, LPStatus, solve_lp
+from .calibration import CalibrationSpec, calibrate_radius
+from .geometry import Norm, worst_case_linear
+from .mixtures import RandomStream, bundled_mixture
 
 __all__ = [
     "__version__",
     "CalibrationSpec",
-    "ConsistencyConfig",
-    "CoverageReport",
-    "DimensionError",
-    "GaussianMixture",
-    "LPResult",
-    "LPStatus",
-    "LinearRow",
-    "ModelError",
     "Norm",
     "RandomStream",
-    "RobustLinearProgram",
-    "RobustRow",
-    "SolveReport",
-    "TrainingScores",
-    "UncertaintySet",
-    "UndersampledError",
-    "UndersampledWarning",
-    "binomial_lower_tail_bound",
-    "bundled_example",
     "bundled_mixture",
     "calibrate_radius",
-    "chernoff_violation_bounds",
-    "dual_achieving_direction",
-    "dual_norm_eval",
-    "empirical_quantile",
-    "estimate_coverage",
-    "exact_violation_probs",
-    "member",
-    "member_batch",
-    "norm_eval",
-    "optimal_lambda",
-    "pessimize",
-    "planning_constant",
-    "raster_density",
-    "raster_set",
-    "run_consistency_experiment",
-    "run_role_of_m_study",
-    "sample_size",
-    "shape_value",
-    "shape_values",
-    "simplex_solve",
-    "solve",
-    "solve_lp",
-    "true_ball_mass",
     "worst_case_linear",
 ]

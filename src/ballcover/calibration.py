@@ -24,7 +24,6 @@ __all__ = [
     "TrainingScores",
     "UndersampledError",
     "UndersampledWarning",
-    "binomial_lower_tail_bound",
     "calibrate_radius",
     "chernoff_violation_bounds",
     "empirical_quantile",
@@ -332,20 +331,3 @@ def exact_violation_probs(
     under = _binomial_cdf(n - k, n, 1.0 - alpha)
     over = _binomial_cdf(k - 1, n, alpha + epsilon)
     return under, over
-
-
-def binomial_lower_tail_bound(n: int, p: float, k: int) -> float:
-    """Chernoff bound exp(-(np - k)^2 / (2np)) on P(Bin(n, p) <= k).
-
-    Valid for k <= n*p; larger k violates the bound's hypothesis and is
-    rejected.
-    """
-    if not (isinstance(n, (int, np.integer)) and n >= 1):
-        raise ValueError(f"n must be a positive integer, got {n!r}")
-    p = float(p)
-    if not 0.0 < p <= 1.0:
-        raise ValueError(f"p must lie in (0, 1], got {p}")
-    mean = n * p
-    if k > mean:
-        raise ValueError(f"k must satisfy k <= n*p = {mean}, got {k}")
-    return math.exp(-((mean - k) ** 2) / (2.0 * mean))

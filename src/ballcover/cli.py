@@ -31,6 +31,7 @@ from .calibration import (
 )
 from .experiments import (
     ConsistencyConfig,
+    _volume_box,
     raster_density,
     raster_set,
     run_consistency_experiment,
@@ -330,15 +331,14 @@ def _cmd_raster(args) -> int:
     uset, mixture = _build_set(config)
     resolution = _positive_int(config, "resolution")
     if config["bbox"] is None:
-        lo = uset.centers.min(axis=0) - 3.0 * uset.radius
-        hi = uset.centers.max(axis=0) + 3.0 * uset.radius
-        bbox = ((float(lo[0]), float(hi[0])), (float(lo[1]), float(hi[1])))
+        lo, hi = _volume_box(uset)
+        bbox = tuple((float(a), float(b)) for a, b in zip(lo, hi))
     else:
         x0, x1, y0, y1 = (float(v) for v in config["bbox"])
         bbox = ((x0, x1), (y0, y1))
-    config["bbox"] = [bbox[0][0], bbox[0][1], bbox[1][0], bbox[1][1]]
 
     grid = raster_set(uset, bbox, resolution)
+    config["bbox"] = [bound for side in bbox for bound in side]
     write_pgm(out / "set.pgm", grid)
     write_grid_csv(out / "set_grid.csv", grid)
     _write_json(out / "set.json", uset.to_dict())

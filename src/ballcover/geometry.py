@@ -25,7 +25,6 @@ __all__ = [
     "norm_eval",
     "dual_norm_eval",
     "dual_achieving_direction",
-    "shape_value",
     "shape_values",
     "member",
     "member_batch",
@@ -163,12 +162,6 @@ def _within(points: np.ndarray, centers: np.ndarray, norm: Norm, radius: float) 
     return _reduce(points - centers, norm) <= radius
 
 
-def shape_value(centers, norm: Norm, u) -> float:
-    """Distance from a single point u to its nearest center."""
-    u = _vector(u, "u")
-    return float(shape_values(centers, norm, u[np.newaxis, :])[0])
-
-
 @dataclass(frozen=True)
 class UncertaintySet:
     """A union of closed p-norm balls with one shared radius.
@@ -228,7 +221,8 @@ def member(uset: UncertaintySet, u) -> bool:
     The comparison is a direct float <=, so boundary points are members;
     no tolerance is folded in.
     """
-    return bool(shape_value(uset.centers, uset.norm, u) <= uset.radius)
+    u = _vector(u, "u")[np.newaxis, :]
+    return bool(shape_values(uset.centers, uset.norm, u)[0] <= uset.radius)
 
 
 def member_batch(uset: UncertaintySet, points) -> np.ndarray:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import DimensionError, Norm, UncertaintySet, norm_eval, shape_values
+from .geometry import DimensionError, UncertaintySet, norm_eval, shape_values
 
 __all__ = [
     "GaussianMixture",

@@ -41,7 +41,6 @@ __all__ = [
     "RobustLinearProgram",
     "SolveReport",
     "solve",
-    "simplex_solve",
     "pessimize",
     "bundled_example",
 ]
@@ -470,28 +469,6 @@ def solve(
             aux=[(t_col[Norm.L2], -1.0)],
         )
         cuts_added += 1
-
-
-def simplex_solve(c, a_ub, b_ub, *, max_iterations: int | None = None) -> SolveReport:
-    """Solve ``max c . x  s.t.  a_ub x <= b_ub, x >= 0`` and wrap the result."""
-    result = solve_lp(
-        np.asarray(c, dtype=float),
-        np.asarray(a_ub, dtype=float),
-        np.asarray(b_ub, dtype=float),
-        max_iterations=max_iterations,
-    )
-    if result.status is LPStatus.OPTIMAL:
-        residuals = np.asarray(a_ub, dtype=float) @ result.x - np.asarray(
-            b_ub, dtype=float
-        )
-        violation = float(residuals.max()) if residuals.size else 0.0
-        return _report(
-            result.status, result.x, result.objective, 0, violation,
-            FEASIBILITY_TOL, CUT_TOL, MAX_CUTS,
-        )
-    return _report(
-        result.status, None, None, 0, 0.0, FEASIBILITY_TOL, CUT_TOL, MAX_CUTS
-    )
 
 
 def pessimize(

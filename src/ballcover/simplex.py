@@ -72,7 +72,11 @@ def _bland_iterate(tableau, basis, candidate_cols, budget, tol):
 
 
 def solve_lp(c, A, b, *, tol: float = _PIVOT_TOL, max_iterations: int | None = None) -> LPResult:
-    """Maximize c.x subject to A x <= b and x >= 0."""
+    """Maximize c.x subject to A x <= b and x >= 0.
+
+    Raises ValueError for mismatched shapes, and for rows so badly scaled
+    that phase 1 cannot pivot on an entry above the absolute ``tol``.
+    """
     c = np.asarray(c, dtype=float)
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -114,25 +118,23 @@ def solve_lp(c, A, b, *, tol: float = _PIVOT_TOL, max_iterations: int | None = N
         status, used = _bland_iterate(tableau, basis, structural_cols, max_iterations, tol)
         iterations += used
         if status is LPStatus.UNBOUNDED:
-            raise RuntimeError("phase-1 objective cannot be unbounded; numerical breakdown")
+            # Phase 1 is bounded by 0, so no pivot row means the only pivot
+            # entries of an improving column fell below the absolute tol.
+            raise ValueError(
+                f"constraint rows are too badly scaled for the pivot tolerance {tol:g}; "
+                "rescale the rows so their coefficients are of similar magnitude"
+            )
         if status is LPStatus.ITERATION_LIMIT:
             return LPResult(LPStatus.ITERATION_LIMIT, None, None, iterations)
         if tableau[-1, -1] < -tol * max(1.0, float(np.abs(rhs).max(initial=0.0))):
             return LPResult(LPStatus.INFEASIBLE, None, None, iterations)
         # Drive any artificial still basic (at value 0) out of the basis.
-        keep = np.ones(m, dtype=bool)
+        # Its row's slack entry stays exactly -1, so a candidate always exists.
         for i in range(m):
             if basis[i] < n + m:
                 continue
             pivot_candidates = np.where(np.abs(tableau[i, : n + m]) > tol)[0]
-            if pivot_candidates.size:
-                _pivot(tableau, basis, i, int(pivot_candidates[0]))
-            else:
-                keep[i] = False  # redundant constraint row
-        if not np.all(keep):
-            tableau = np.vstack([tableau[:m][keep], tableau[-1:]])
-            basis = basis[keep]
-            m = int(keep.sum())
+            _pivot(tableau, basis, i, int(pivot_candidates[0]))
         # Drop artificial columns entirely.
         tableau = np.hstack([tableau[:, : n + m], tableau[:, -1:]])
 

@@ -32,11 +32,11 @@ from ballcover.experiments import ConsistencyConfig, run_consistency_experiment,
 from ballcover.geometry import Norm, UncertaintySet
 from ballcover.mixtures import GaussianMixture, RandomStream, bundled_mixture, true_ball_mass
 from ballcover.robust import (
+    LinearRow,
     RobustLinearProgram,
     RobustRow,
     bundled_example,
     pessimize,
-    simplex_solve,
     solve,
 )
 from ballcover.simplex import LPStatus
@@ -192,7 +192,13 @@ def test_criterion_6_robust_lp_correctness():
         ],
         bounds=[(0.0, None), (0.0, None)],
     )
-    scenario = simplex_solve([1.0, 1.0], [[0.5, 0.5]], [1.0])
+    scenario = solve(
+        RobustLinearProgram(
+            objective=[1.0, 1.0],
+            deterministic_rows=[LinearRow([0.5, 0.5], 1.0)],
+            bounds=[(0.0, None), (0.0, None)],
+        )
+    )
     r0_gap = abs(solve(degenerate).objective_value - scenario.objective_value)
 
     rng = np.random.default_rng(2024)

@@ -11,7 +11,6 @@ from ballcover.calibration import (
     TrainingScores,
     UndersampledError,
     UndersampledWarning,
-    binomial_lower_tail_bound,
     calibrate_radius,
     chernoff_violation_bounds,
     empirical_quantile,
@@ -217,31 +216,6 @@ class TestExactViolationProbs:
         freq = float(np.mean(radii < alpha))
         se = math.sqrt(exact * (1 - exact) / reps)
         assert abs(freq - exact) <= 3 * se
-
-
-class TestBinomialLowerTailBound:
-    def test_reference_values(self):
-        bound = binomial_lower_tail_bound(100, 0.5, 40)
-        np.testing.assert_allclose(bound, math.exp(-1.0), rtol=1e-15)
-        exact = sum(math.comb(100, i) * 0.5**100 for i in range(41))
-        np.testing.assert_allclose(exact, 0.028444, atol=5e-7)
-        assert exact <= bound
-
-    def test_zero_exponent_at_mean(self):
-        assert binomial_lower_tail_bound(10, 0.5, 5) == 1.0
-
-    def test_all_failures(self):
-        bound = binomial_lower_tail_bound(10, 0.3, 0)
-        np.testing.assert_allclose(bound, math.exp(-1.5), rtol=1e-15)
-        assert 0.7**10 <= bound
-
-    def test_domain(self):
-        with pytest.raises(ValueError):
-            binomial_lower_tail_bound(10, 0.3, 4)
-        with pytest.raises(ValueError):
-            binomial_lower_tail_bound(10, 0.0, 0)
-        with pytest.raises(ValueError):
-            binomial_lower_tail_bound(0, 0.3, 0)
 
 
 class TestCalibrationSpec:

@@ -364,6 +364,22 @@ class TestRaster:
         manifest = read_json(tmp_path / "manifest.json")
         assert "density.pgm" not in manifest["outputs"]
 
+    @pytest.mark.parametrize("dim", [1, 3])
+    def test_csv_set_that_is_not_2d_exits_2(self, tmp_path, capsys, dim):
+        rng = np.random.default_rng(5)
+        shape = tmp_path / "shape.csv"
+        train = tmp_path / "train.csv"
+        np.savetxt(shape, rng.normal(size=(4, dim)), delimiter=",")
+        np.savetxt(train, rng.normal(size=(80, dim)), delimiter=",")
+        out = tmp_path / "out"
+        rc = quiet_main(
+            ["raster", "--shape-csv", str(shape), "--train-csv", str(train),
+             "--advisory", "--resolution", "8", "--out-dir", str(out)]
+        )
+        assert rc == 2
+        assert "2-D set" in capsys.readouterr().err
+        assert not list(out.glob("set.*"))
+
     def test_volume_matches_monte_carlo_study(self, tmp_path, capsys):
         """Raster area and the study's MC volume are two routes to one number.
 
@@ -448,8 +464,20 @@ class TestSolve:
             },
             {"objective": [1.0], "robust_rows": [{"b": 1.0}]},
             [1.0, 2.0],
+            {
+                "objective": [0.0],
+                "rows": [{"a": [-3e-10], "b": -3.0}, {"a": [-0.3], "b": -2.0}],
+                "robust_rows": [],
+                "bounds": [[0.0, None]],
+            },
         ],
-        ids=["no-objective", "robust-row-without-b", "robust-row-without-set", "list"],
+        ids=[
+            "no-objective",
+            "robust-row-without-b",
+            "robust-row-without-set",
+            "list",
+            "badly-scaled-rows",
+        ],
     )
     def test_malformed_model_exits_2(self, tmp_path, capsys, model):
         path = tmp_path / "model.json"

@@ -15,7 +15,6 @@ from ballcover.geometry import (
     member,
     member_batch,
     norm_eval,
-    shape_value,
     shape_values,
     worst_case_linear,
 )
@@ -103,14 +102,14 @@ class TestDualNorm:
 
 class TestShapeValue:
     def test_nearest_center(self):
-        assert shape_value([(0, 0), (10, 0)], Norm.L2, (1, 0)) == 1.0
+        assert shape_values([(0, 0), (10, 0)], Norm.L2, (1, 0))[0] == 1.0
 
     def test_at_center(self):
-        assert shape_value([(0, 0)], Norm.L2, (0, 0)) == 0.0
+        assert shape_values([(0, 0)], Norm.L2, (0, 0))[0] == 0.0
 
     def test_l1_two_centers(self):
         # min(|6|+|1|, |6-10|+|1|) = min(7, 5)
-        assert shape_value([(0, 0), (10, 0)], Norm.L1, (6, 1)) == 5.0
+        assert shape_values([(0, 0), (10, 0)], Norm.L1, (6, 1))[0] == 5.0
 
     def test_matches_brute_force(self):
         rng = np.random.default_rng(42)
@@ -121,7 +120,7 @@ class TestShapeValue:
             u = rng.normal(size=d)
             norm = ALL_NORMS[rng.integers(3)]
             np.testing.assert_allclose(
-                shape_value(centers, norm, u),
+                shape_values(centers, norm, u)[0],
                 brute_force_shape(centers, norm, u),
                 rtol=1e-13,
             )
@@ -139,12 +138,12 @@ class TestShapeValue:
         points = rng.normal(size=(40, 2))
         for norm in ALL_NORMS:
             batch = shape_values(centers, norm, points)
-            singles = [shape_value(centers, norm, p) for p in points]
+            singles = [shape_values(centers, norm, p)[0] for p in points]
             np.testing.assert_allclose(batch, singles, rtol=1e-15)
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionError):
-            shape_value([(0, 0)], Norm.L2, (1, 2, 3))
+            shape_values([(0, 0)], Norm.L2, (1, 2, 3))
         with pytest.raises(DimensionError):
             shape_values(np.zeros((2, 2)), Norm.L2, np.zeros((3, 4)))
 
@@ -199,7 +198,7 @@ class TestUncertaintySet:
             centers = rng.normal(size=(int(rng.integers(1, 6)), d))
             u = rng.normal(scale=2.0, size=d)
             norm = ALL_NORMS[rng.integers(3)]
-            phi = shape_value(centers, norm, u)
+            phi = shape_values(centers, norm, u)[0]
             # Exact tie: the point must be a member at radius == phi ...
             assert member(UncertaintySet(centers, phi, norm), u)
             # ... and a non-member one ulp below (phi > 0 so nextafter is valid).

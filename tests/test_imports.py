@@ -1,8 +1,33 @@
-"""Importing ballcover, and the commands that never need scipy, load no scipy module."""
+"""The package's public surface, and the scipy-free import path.
 
+Importing ballcover, and the commands that never need scipy, load no
+scipy module.
+"""
+
+import importlib
 import json
+import pkgutil
 import subprocess
 import sys
+
+import pytest
+
+import ballcover
+
+# The names the README's library example uses; everything else is imported
+# from its submodule.
+TOP_LEVEL = {
+    "__version__",
+    "CalibrationSpec",
+    "Norm",
+    "RandomStream",
+    "bundled_mixture",
+    "calibrate_radius",
+    "worst_case_linear",
+}
+SUBMODULES = [
+    info.name for info in pkgutil.iter_modules(ballcover.__path__) if info.name != "__main__"
+]
 
 SCRIPT = """
 import contextlib, io, json, sys, tempfile
@@ -29,3 +54,15 @@ def test_cli_commands_load_no_scipy():
     result = json.loads(proc.stdout)
     assert result["codes"] == [0, 0, 0]
     assert result["scipy"] == []
+
+
+def test_top_level_exports_exactly_the_library_names():
+    assert len(ballcover.__all__) == len(TOP_LEVEL)
+    assert set(ballcover.__all__) == TOP_LEVEL
+    assert [name for name in ballcover.__all__ if not hasattr(ballcover, name)] == []
+
+
+@pytest.mark.parametrize("name", SUBMODULES)
+def test_every_submodule_export_exists(name):
+    module = importlib.import_module(f"ballcover.{name}")
+    assert [export for export in module.__all__ if not hasattr(module, export)] == []

@@ -20,7 +20,6 @@ from ballcover.robust import (
     RobustRow,
     bundled_example,
     pessimize,
-    simplex_solve,
     solve,
 )
 from ballcover.simplex import LPStatus
@@ -158,22 +157,33 @@ class TestJsonRoundTrip:
         assert RobustLinearProgram.from_dict(data).bounds is None
 
 
+def plain_lp(c, a_ub, b_ub):
+    """``max c . x  s.t.  a_ub x <= b_ub, x >= 0`` as a model without robust rows."""
+    return RobustLinearProgram(
+        objective=c,
+        deterministic_rows=[LinearRow(a, b) for a, b in zip(a_ub, b_ub)],
+        bounds=[(0.0, None)] * len(c),
+    )
+
+
 class TestSimplexSolveWrapper:
+    """``solve`` on a plain LP is one ``solve_lp`` call wrapped in a report."""
+
     def test_basic_optimum(self):
-        report = simplex_solve([1.0, 0.0], [[1.0, 1.0]], [2.0])
+        report = solve(plain_lp([1.0, 0.0], [[1.0, 1.0]], [2.0]))
         assert report.status is LPStatus.OPTIMAL
         assert report.objective_value == 2.0
         assert report.cuts_added == 0
         assert report.max_violation <= 1e-9
 
     def test_infeasible_pair(self):
-        report = simplex_solve([1.0], [[-1.0], [1.0]], [-3.0, 1.0])
+        report = solve(plain_lp([1.0], [[-1.0], [1.0]], [-3.0, 1.0]))
         assert report.status is LPStatus.INFEASIBLE
         assert report.x_star is None
         assert report.objective_value is None
 
     def test_unbounded(self):
-        report = simplex_solve([1.0], np.zeros((0, 1)), np.zeros(0))
+        report = solve(plain_lp([1.0], np.zeros((0, 1)), np.zeros(0)))
         assert report.status is LPStatus.UNBOUNDED
 
 

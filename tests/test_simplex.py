@@ -64,6 +64,12 @@ class TestBasics:
         with pytest.raises(ValueError):
             solve_lp([1.0, 2.0], [[1.0]], [1.0])
 
+    def test_badly_scaled_rows_raise_value_error(self):
+        # Feasible (x1 >= 1e10), but phase 1's only pivot entry, 3e-10, is
+        # below the absolute pivot tolerance.
+        with pytest.raises(ValueError, match="badly scaled"):
+            solve_lp([0.0], [[-3e-10], [-0.3]], [-3.0, -2.0])
+
 
 class TestDegeneracy:
     def test_beale_cycling_instance(self):
