@@ -81,20 +81,8 @@ class TrainingScores:
         return int(self.values.size)
 
 
-def empirical_quantile(scores: TrainingScores, gamma: float) -> float:
-    """Level-``gamma`` empirical quantile of the scores.
-
-    Returns the ceil(n * gamma)-th smallest score, which equals
-    inf{z : F_n(z) >= gamma} for the empirical distribution function F_n.
-    Duplicate scores occupy consecutive ranks.
-
-    Parameters
-    ----------
-    scores : TrainingScores
-    gamma : float in (0, 1)
-    """
-    gamma = _check_range("gamma", gamma, 0.0, 1.0)
-    n = len(scores)
+def _quantile_rank(n: int, gamma: float) -> int:
+    """The smallest rank k with k / n >= gamma, as computed in floats."""
     k = math.ceil(n * gamma)
     # n * gamma can round across an integer (e.g. 25 * 0.28 -> 7.000...01),
     # breaking the inf{z : F_n(z) >= gamma} identity.  Nudge k so that it is
@@ -104,7 +92,24 @@ def empirical_quantile(scores: TrainingScores, gamma: float) -> float:
         k -= 1
     while k / n < gamma:
         k += 1
-    return float(scores.sorted_values[k - 1])
+    return k
+
+
+def empirical_quantile(scores: TrainingScores, gamma: float) -> float:
+    """Level-``gamma`` empirical quantile of the scores.
+
+    Returns the k-th smallest score for the smallest k with k / n >= gamma
+    (ceil(n * gamma) unless that product rounds across an integer), which
+    equals inf{z : F_n(z) >= gamma} for the empirical distribution function F_n.
+    Duplicate scores occupy consecutive ranks.
+
+    Parameters
+    ----------
+    scores : TrainingScores
+    gamma : float in (0, 1)
+    """
+    gamma = _check_range("gamma", gamma, 0.0, 1.0)
+    return float(scores.sorted_values[_quantile_rank(len(scores), gamma) - 1])
 
 
 def optimal_lambda(alpha: float, epsilon: float) -> float:
@@ -316,7 +321,10 @@ def exact_violation_probs(
 ) -> tuple[float, float]:
     """Exact binomial values of the two calibration failure probabilities.
 
-    With k = ceil(n * alpha_n), the returned pair is
+    With k the rank that :func:`empirical_quantile` takes at level
+    ``alpha_n`` (the smallest k with k / n >= alpha_n, which is
+    ceil(n * alpha_n) unless that product rounds across an integer), the
+    returned pair is
 
         ( sum_{i=0}^{n-k} C(n,i) (1-alpha)^i alpha^(n-i) ,
           sum_{i=0}^{k-1} C(n,i) (alpha+epsilon)^i (1-alpha-epsilon)^(n-i) )
@@ -327,7 +335,7 @@ def exact_violation_probs(
     :func:`chernoff_violation_bounds`.
     """
     n, alpha, epsilon, alpha_n = _check_level_hypothesis(n, alpha, epsilon, alpha_n)
-    k = math.ceil(n * alpha_n)
+    k = _quantile_rank(n, alpha_n)
     under = _binomial_cdf(n - k, n, 1.0 - alpha)
     over = _binomial_cdf(k - 1, n, alpha + epsilon)
     return under, over

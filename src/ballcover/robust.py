@@ -137,21 +137,19 @@ class RobustLinearProgram:
     def __post_init__(self) -> None:
         obj = _row_vector(self.objective, None, "objective")
         object.__setattr__(self, "objective", obj)
-        det = tuple(
-            row if isinstance(row, LinearRow) else LinearRow(*row)
-            for row in self.deterministic_rows
-        )
+        det = tuple(self.deterministic_rows)
         for row in det:
+            if not isinstance(row, LinearRow):
+                raise ModelError(f"deterministic row must be a LinearRow, not {row!r}")
             if row.a.size != obj.size:
                 raise ModelError(
                     f"deterministic row is {row.a.size}-D, model is {obj.size}-D"
                 )
         object.__setattr__(self, "deterministic_rows", det)
-        rob = tuple(
-            row if isinstance(row, RobustRow) else RobustRow(*row)
-            for row in self.robust_rows
-        )
+        rob = tuple(self.robust_rows)
         for row in rob:
+            if not isinstance(row, RobustRow):
+                raise ModelError(f"robust row must be a RobustRow, not {row!r}")
             if row.uncertainty_set.dimension != obj.size:
                 raise ModelError(
                     f"robust row set is {row.uncertainty_set.dimension}-D, "
@@ -213,7 +211,8 @@ class SolveReport:
     slack) and is 0.0 when no point is reported.  ``cuts_added`` counts
     the gradient cuts added to the L2 cone, one per cutting-plane round; it
     is 0 for models without an L2 ball of positive radius.  The tolerances
-    and cut cap that governed the solve are recorded for reproducibility.
+    are the module constants ``FEASIBILITY_TOL`` and ``CUT_TOL``; they and
+    the cut cap that governed the solve are recorded for reproducibility.
     """
 
     status: LPStatus
@@ -238,89 +237,44 @@ class SolveReport:
         }
 
 
-@dataclass(frozen=True)
-class _VariableMap:
-    """Affine change of variables x = matrix @ y + shift with y >= 0.
+def _substitution(bounds, dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(lift, shift)`` with ``x = lift @ y + shift`` and ``y >= 0``.
 
-    ``range_rows`` carries the extra ``y_p <= upper - lower`` rows needed
-    by two-sided bounds (indices into y, right-hand sides).
+    A free variable takes two columns, ``x_j = y_p - y_q``; any other
+    takes one, measured up from its lower bound or, with only an upper
+    bound, down from that.  The upper side of a two-sided bound is left to
+    an ordinary row ``x_j <= upper`` of :func:`_relaxation`.
     """
-
-    matrix: np.ndarray
-    shift: np.ndarray
-    range_rows: tuple[tuple[int, float], ...]
-
-    @property
-    def num_columns(self) -> int:
-        return self.matrix.shape[1]
-
-
-def _variable_map(bounds, dim: int) -> _VariableMap:
-    entries: list[tuple[int, float]] = []
+    columns: list[tuple[int, float]] = []
     shift = np.zeros(dim)
-    ranges: list[tuple[int, float]] = []
     for j in range(dim):
         lo, hi = (None, None) if bounds is None else bounds[j]
         if lo is None and hi is None:
-            entries.append((j, 1.0))
-            entries.append((j, -1.0))
-        elif hi is None:
-            shift[j] = lo
-            entries.append((j, 1.0))
+            columns += [(j, 1.0), (j, -1.0)]
         elif lo is None:
             shift[j] = hi
-            entries.append((j, -1.0))
+            columns.append((j, -1.0))
         else:
             shift[j] = lo
-            entries.append((j, 1.0))
-            ranges.append((len(entries) - 1, hi - lo))
-    matrix = np.zeros((dim, len(entries)))
-    for p, (j, sign) in enumerate(entries):
-        matrix[j, p] = sign
-    return _VariableMap(matrix=matrix, shift=shift, range_rows=tuple(ranges))
+            columns.append((j, 1.0))
+    lift = np.zeros((dim, len(columns)))
+    for p, (j, sign) in enumerate(columns):
+        lift[j, p] = sign
+    return lift, shift
 
 
-class _RelaxationBuilder:
-    """Accumulates LP rows over the columns [y | epigraph auxiliaries]."""
+def _relaxation(
+    rlp: RobustLinearProgram, trust_box: bool
+) -> tuple[np.ndarray, np.ndarray, dict[Norm, int]]:
+    """The base LP rows over ``[x | t per norm in use | s]``, their
+    right-hand sides, and the column ``t`` of each ball norm in use.
 
-    def __init__(self, vmap: _VariableMap, num_aux: int) -> None:
-        self.vmap = vmap
-        self.n_y = vmap.num_columns
-        self.n_cols = self.n_y + num_aux
-        self.rows: list[np.ndarray] = []
-        self.rhs: list[float] = []
-
-    def add_x_row(self, vec: np.ndarray, bound: float, aux=()) -> None:
-        """Add ``vec . x + sum(coef * aux_col) <= bound`` rewritten over y."""
-        row = np.zeros(self.n_cols)
-        row[: self.n_y] = vec @ self.vmap.matrix
-        for col, coef in aux:
-            row[col] = coef
-        self.rows.append(row)
-        self.rhs.append(bound - float(vec @ self.vmap.shift))
-
-    def add_y_row(self, col: int, bound: float) -> None:
-        row = np.zeros(self.n_cols)
-        row[col] = 1.0
-        self.rows.append(row)
-        self.rhs.append(bound)
-
-    def matrices(self) -> tuple[np.ndarray, np.ndarray]:
-        if not self.rows:
-            return np.zeros((0, self.n_cols)), np.zeros(0)
-        return np.vstack(self.rows), np.asarray(self.rhs)
-
-
-def _assemble(
-    rlp: RobustLinearProgram, vmap: _VariableMap
-) -> tuple[_RelaxationBuilder, dict[Norm, int]]:
-    """The base relaxation and the epigraph column of each ball norm in use.
-
-    Every robust center becomes ``center . x + radius * t <= b`` over the
-    column ``t`` of its norm.  The L1 epigraph (dual: max norm) is
-    ``t >= |x_j|``; the LINF epigraph (dual: sum norm) is ``s_j >= |x_j|``
-    and ``sum(s) <= t``.  The L2 epigraph starts with no rows; the cuts of
-    :func:`solve` build it.
+    In order: the deterministic rows, ``x_j <= upper`` for each two-sided
+    bound, the epigraph rows, one row ``center . x + radius * t <= b`` per
+    robust center, and, if ``trust_box``, the rows ``|x_j| <= _TRUST_BOX``.
+    The L1 epigraph (dual: max norm) is ``t >= |x_j|``; the LINF epigraph
+    (dual: sum norm) is ``s_j >= |x_j|`` and ``sum(s) <= t``.  The L2
+    epigraph starts with no rows; the cuts of :func:`solve` build it.
     """
     dim = rlp.num_variables
     norms = [
@@ -329,24 +283,35 @@ def _assemble(
         if any(row.uncertainty_set.norm is norm for row in rlp.robust_rows)
     ]
     num_s = dim if Norm.LINF in norms else 0
-    builder = _RelaxationBuilder(vmap, len(norms) + num_s)
-    t_col = {norm: builder.n_y + k for k, norm in enumerate(norms)}
-    s_cols = range(builder.n_y + len(norms), builder.n_cols)
+    width = dim + len(norms) + num_s
+    t_col = {norm: dim + k for k, norm in enumerate(norms)}
+    s_cols = range(dim + len(norms), width)
     identity = np.eye(dim)
+    rows: list[np.ndarray] = []
+    rhs: list[float] = []
+
+    def add(vec: np.ndarray, bound: float, aux=()) -> None:
+        row = np.zeros(width)
+        row[:dim] = vec
+        for col, coef in aux:
+            row[col] = coef
+        rows.append(row)
+        rhs.append(bound)
 
     for row in rlp.deterministic_rows:
-        builder.add_x_row(row.a, row.b)
-    for col, bound in vmap.range_rows:
-        builder.add_y_row(col, bound)
+        add(row.a, row.b)
+    for j, (lo, hi) in enumerate(rlp.bounds or ()):
+        if lo is not None and hi is not None:
+            add(identity[j], hi)
 
     # |x_j| <= t for the L1 epigraph and |x_j| <= s_j for the LINF one.
     abs_bounds = [(j, t_col[Norm.L1]) for j in range(dim)] if Norm.L1 in t_col else []
     abs_bounds += list(enumerate(s_cols))
     for j, col in abs_bounds:
-        builder.add_x_row(identity[j], 0.0, aux=[(col, -1.0)])
-        builder.add_x_row(-identity[j], 0.0, aux=[(col, -1.0)])
+        add(identity[j], 0.0, aux=[(col, -1.0)])
+        add(-identity[j], 0.0, aux=[(col, -1.0)])
     if Norm.LINF in t_col:
-        builder.add_x_row(
+        add(
             np.zeros(dim), 0.0,
             aux=[(col, 1.0) for col in s_cols] + [(t_col[Norm.LINF], -1.0)],
         )
@@ -354,8 +319,12 @@ def _assemble(
     for row in rlp.robust_rows:
         uset = row.uncertainty_set
         for center in uset.centers:
-            builder.add_x_row(center, row.b, aux=[(t_col[uset.norm], uset.radius)])
-    return builder, t_col
+            add(center, row.b, aux=[(t_col[uset.norm], uset.radius)])
+    if trust_box:
+        for j in range(dim):
+            add(identity[j], _TRUST_BOX)
+            add(-identity[j], _TRUST_BOX)
+    return np.array(rows).reshape(len(rows), width), np.array(rhs), t_col
 
 
 def _certificate(rlp: RobustLinearProgram, x: np.ndarray) -> float:
@@ -366,109 +335,66 @@ def _certificate(rlp: RobustLinearProgram, x: np.ndarray) -> float:
     return max(residuals, default=0.0)
 
 
-def _report(
-    status: LPStatus,
-    x,
-    objective,
-    cuts: int,
-    violation: float,
-    feasibility_tol: float,
-    cut_tol: float,
-    max_cuts: int,
-) -> SolveReport:
-    return SolveReport(
-        status=status,
-        x_star=x,
-        objective_value=objective,
-        cuts_added=cuts,
-        max_violation=violation,
-        feasibility_tol=feasibility_tol,
-        cut_tol=cut_tol,
-        max_cuts=max_cuts,
-    )
-
-
-def solve(
-    rlp: RobustLinearProgram,
-    *,
-    feasibility_tol: float = FEASIBILITY_TOL,
-    cut_tol: float = CUT_TOL,
-    max_cuts: int = MAX_CUTS,
-) -> SolveReport:
+def solve(rlp: RobustLinearProgram, *, max_cuts: int = MAX_CUTS) -> SolveReport:
     """Solve a robust LP and certify the returned point.
 
     All rows go into one LP, each robust center as
     ``center . x + radius * t <= b`` over the epigraph column ``t`` of its
     ball norm; the L1 and LINF epigraphs are exact.  While some L2 row of
     positive radius has a worst case above its bound by more than
-    ``min(cut_tol, feasibility_tol)`` at the iterate ``x_hat``, each round
+    ``min(CUT_TOL, FEASIBILITY_TOL)`` at the iterate ``x_hat``, each round
     adds the one gradient cut ``(x_hat / ||x_hat||_2) . x <= t`` to the L2
-    cone and solves again.
+    cone and solves again, for at most ``max_cuts`` rounds.
     """
     dim = rlp.num_variables
-    if rlp.bounds is not None:
-        for lo, hi in rlp.bounds:
-            if lo is not None and hi is not None and hi < lo:
-                return _report(
-                    LPStatus.INFEASIBLE, None, None, 0, 0.0,
-                    feasibility_tol, cut_tol, max_cuts,
-                )
+    if any(lo is not None and hi is not None and hi < lo for lo, hi in rlp.bounds or ()):
+        return SolveReport(LPStatus.INFEASIBLE, None, None, 0, 0.0, max_cuts=max_cuts)
 
-    vmap = _variable_map(rlp.bounds, dim)
-    builder, t_col = _assemble(rlp, vmap)
     cone_rows = [
         row
         for row in rlp.robust_rows
         if row.uncertainty_set.norm is Norm.L2 and row.uncertainty_set.radius > 0.0
     ]
-    if cone_rows:
-        identity = np.eye(dim)
-        for j in range(dim):
-            builder.add_x_row(identity[j], _TRUST_BOX)
-            builder.add_x_row(-identity[j], _TRUST_BOX)
-
-    cost = np.zeros(builder.n_cols)
-    cost[: builder.n_y] = rlp.objective @ vmap.matrix
-    threshold = min(cut_tol, feasibility_tol)
+    lift, shift = _substitution(rlp.bounds, dim)
+    rows, rhs, t_col = _relaxation(rlp, trust_box=bool(cone_rows))
+    cost = np.zeros(lift.shape[1] + rows.shape[1] - dim)
+    cost[: lift.shape[1]] = rlp.objective @ lift
+    threshold = min(CUT_TOL, FEASIBILITY_TOL)
     cuts_added = 0
 
     while True:
-        a_mat, b_vec = builder.matrices()
+        # Over y, each row keeps its own dot with the shift: one product
+        # for all rows would sum in another order and move right-hand
+        # sides by an ulp.
+        a_mat = np.hstack([rows[:, :dim] @ lift, rows[:, dim:]])
+        b_vec = np.array([b - float(a[:dim] @ shift) for a, b in zip(rows, rhs)])
         result = solve_lp(cost, a_mat, b_vec)
         if result.status is not LPStatus.OPTIMAL:
-            return _report(
-                result.status, None, None, cuts_added, 0.0,
-                feasibility_tol, cut_tol, max_cuts,
-            )
-        x_hat = vmap.matrix @ result.x[: builder.n_y] + vmap.shift
-        objective = float(rlp.objective @ x_hat)
+            return SolveReport(result.status, None, None, cuts_added, 0.0, max_cuts=max_cuts)
+        x_hat = lift @ result.x[: lift.shape[1]] + shift
         violation = max(
-            (
-                worst_case_linear(row.uncertainty_set, x_hat) - row.b
-                for row in cone_rows
-            ),
+            (worst_case_linear(row.uncertainty_set, x_hat) - row.b for row in cone_rows),
             default=-math.inf,
         )
-        if violation <= threshold:
-            if cone_rows and np.max(np.abs(x_hat)) >= _TRUST_BOX * (1.0 - 1e-9):
-                return _report(
-                    LPStatus.UNBOUNDED, None, None, cuts_added, 0.0,
-                    feasibility_tol, cut_tol, max_cuts,
-                )
-            return _report(
-                LPStatus.OPTIMAL, x_hat, objective, cuts_added,
-                _certificate(rlp, x_hat), feasibility_tol, cut_tol, max_cuts,
-            )
-        if cuts_added >= max_cuts:
-            return _report(
-                LPStatus.ITERATION_LIMIT, x_hat, objective, cuts_added,
-                _certificate(rlp, x_hat), feasibility_tol, cut_tol, max_cuts,
-            )
-        builder.add_x_row(
-            dual_achieving_direction(x_hat, Norm.L2), 0.0,
-            aux=[(t_col[Norm.L2], -1.0)],
-        )
+        if violation <= threshold or cuts_added >= max_cuts:
+            break
+        cut = np.zeros(rows.shape[1])
+        cut[:dim] = dual_achieving_direction(x_hat, Norm.L2)
+        cut[t_col[Norm.L2]] = -1.0
+        rows = np.vstack([rows, cut])
+        rhs = np.append(rhs, 0.0)
         cuts_added += 1
+
+    if violation > threshold:
+        status = LPStatus.ITERATION_LIMIT
+    elif cone_rows and np.max(np.abs(x_hat)) >= _TRUST_BOX * (1.0 - 1e-9):
+        return SolveReport(LPStatus.UNBOUNDED, None, None, cuts_added, 0.0, max_cuts=max_cuts)
+    else:
+        status = LPStatus.OPTIMAL
+    objective = float(rlp.objective @ x_hat)
+    return SolveReport(
+        status, x_hat, objective, cuts_added, _certificate(rlp, x_hat), max_cuts=max_cuts
+    )
 
 
 def pessimize(

@@ -44,7 +44,7 @@ def _pivot(tableau: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
     basis[row] = col
 
 
-def _bland_iterate(tableau, basis, candidate_cols, budget, tol):
+def _bland_iterate(tableau, basis, candidate_cols, budget):
     """Run Bland pivots until optimal or unbounded, within an iteration budget.
 
     Returns (status, iterations_used); ITERATION_LIMIT means the budget ran
@@ -53,14 +53,14 @@ def _bland_iterate(tableau, basis, candidate_cols, budget, tol):
     used = 0
     while True:
         objective_row = tableau[-1, candidate_cols]
-        improving = np.where(objective_row < -tol)[0]
+        improving = np.where(objective_row < -_PIVOT_TOL)[0]
         if improving.size == 0:
             return LPStatus.OPTIMAL, used
         if used >= budget:
             return LPStatus.ITERATION_LIMIT, used
         col = int(candidate_cols[improving[0]])
         column = tableau[:-1, col]
-        eligible = np.where(column > tol)[0]
+        eligible = np.where(column > _PIVOT_TOL)[0]
         if eligible.size == 0:
             return LPStatus.UNBOUNDED, used
         ratios = tableau[eligible, -1] / column[eligible]
@@ -71,11 +71,11 @@ def _bland_iterate(tableau, basis, candidate_cols, budget, tol):
         used += 1
 
 
-def solve_lp(c, A, b, *, tol: float = _PIVOT_TOL, max_iterations: int | None = None) -> LPResult:
+def solve_lp(c, A, b, *, max_iterations: int | None = None) -> LPResult:
     """Maximize c.x subject to A x <= b and x >= 0.
 
     Raises ValueError for mismatched shapes, and for rows so badly scaled
-    that phase 1 cannot pivot on an entry above the absolute ``tol``.
+    that phase 1 cannot pivot on an entry above the absolute ``_PIVOT_TOL``.
     """
     c = np.asarray(c, dtype=float)
     A = np.asarray(A, dtype=float)
@@ -115,25 +115,26 @@ def solve_lp(c, A, b, *, tol: float = _PIVOT_TOL, max_iterations: int | None = N
         for i in art_rows:
             tableau[-1, :] -= tableau[i, :]
         # Artificials never re-enter once they leave the basis.
-        status, used = _bland_iterate(tableau, basis, structural_cols, max_iterations, tol)
+        status, used = _bland_iterate(tableau, basis, structural_cols, max_iterations)
         iterations += used
         if status is LPStatus.UNBOUNDED:
             # Phase 1 is bounded by 0, so no pivot row means the only pivot
-            # entries of an improving column fell below the absolute tol.
+            # entries of an improving column fell below the absolute _PIVOT_TOL.
             raise ValueError(
-                f"constraint rows are too badly scaled for the pivot tolerance {tol:g}; "
-                "rescale the rows so their coefficients are of similar magnitude"
+                "constraint rows are too badly scaled for the pivot tolerance "
+                f"{_PIVOT_TOL:g}; rescale the rows so their coefficients are of "
+                "similar magnitude"
             )
         if status is LPStatus.ITERATION_LIMIT:
             return LPResult(LPStatus.ITERATION_LIMIT, None, None, iterations)
-        if tableau[-1, -1] < -tol * max(1.0, float(np.abs(rhs).max(initial=0.0))):
+        if tableau[-1, -1] < -_PIVOT_TOL * max(1.0, float(np.abs(rhs).max(initial=0.0))):
             return LPResult(LPStatus.INFEASIBLE, None, None, iterations)
         # Drive any artificial still basic (at value 0) out of the basis.
         # Its row's slack entry stays exactly -1, so a candidate always exists.
         for i in range(m):
             if basis[i] < n + m:
                 continue
-            pivot_candidates = np.where(np.abs(tableau[i, : n + m]) > tol)[0]
+            pivot_candidates = np.where(np.abs(tableau[i, : n + m]) > _PIVOT_TOL)[0]
             _pivot(tableau, basis, i, int(pivot_candidates[0]))
         # Drop artificial columns entirely.
         tableau = np.hstack([tableau[:, : n + m], tableau[:, -1:]])
@@ -148,7 +149,7 @@ def solve_lp(c, A, b, *, tol: float = _PIVOT_TOL, max_iterations: int | None = N
         if coeff != 0.0:
             tableau[-1, :] += coeff * tableau[i, :]
     status, used = _bland_iterate(
-        tableau, basis, structural_cols, max_iterations - iterations, tol
+        tableau, basis, structural_cols, max_iterations - iterations
     )
     iterations += used
     if status is not LPStatus.OPTIMAL:

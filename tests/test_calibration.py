@@ -184,6 +184,15 @@ class TestExactViolationProbs:
             np.testing.assert_allclose(under, binom.cdf(n - k, n, 1 - alpha), rtol=1e-10)
             np.testing.assert_allclose(over, binom.cdf(k - 1, n, alpha + eps), rtol=1e-10)
 
+    def test_rank_is_the_one_the_quantile_takes(self):
+        # 25 * 0.28 rounds to 7.000000000000001, so ceil gives rank 8, but
+        # empirical_quantile (and so calibrate_radius) takes the 7th score.
+        n, alpha, eps, alpha_n = 25, 0.27, 0.02, 0.28
+        assert empirical_quantile(TrainingScores(np.arange(1.0, n + 1)), alpha_n) == 7.0
+        under, over = exact_violation_probs(n, alpha, eps, alpha_n)
+        np.testing.assert_allclose(under, binom.cdf(n - 7, n, 1 - alpha), rtol=1e-12)
+        np.testing.assert_allclose(over, binom.cdf(7 - 1, n, alpha + eps), rtol=1e-12)
+
     def test_stable_at_one_million(self):
         n = 1_000_000
         under, over = exact_violation_probs(n, 0.9, 0.05, 0.9005)

@@ -124,6 +124,14 @@ class TestModelValidation:
         with pytest.raises(ModelError):
             LinearRow([1.0], float("inf"))
 
+    def test_rows_must_be_row_objects(self):
+        with pytest.raises(ModelError, match="deterministic row"):
+            RobustLinearProgram(objective=[1.0], deterministic_rows=[5])
+        with pytest.raises(ModelError, match="deterministic row"):
+            RobustLinearProgram(objective=[1.0], deterministic_rows=[([1.0], 1.0)])
+        with pytest.raises(ModelError, match="robust row"):
+            RobustLinearProgram(objective=[1.0], robust_rows=[5])
+
     def test_num_variables(self):
         assert bundled_example().num_variables == 2
 

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 from ballcover.geometry import Norm, UncertaintySet, member, worst_case_linear
-from ballcover.robust import RobustLinearProgram, RobustRow, pessimize, solve
+from ballcover.robust import LinearRow, RobustLinearProgram, RobustRow, pessimize, solve
 from ballcover.simplex import LPStatus
 
 PROPERTY_SETTINGS = settings(max_examples=25, deadline=None, database=None)
@@ -38,6 +38,30 @@ def polyhedral_models(draw):
     return RobustLinearProgram(
         objective=rng.uniform(-1.0, 1.0, d), robust_rows=rows, bounds=bounds
     )
+
+
+@st.composite
+def models_with_one_range(draw):
+    """Models with one L1/L2/LINF row and one two-sided variable j; every
+    other variable is free or bounded on one side.  Returns (model, j)."""
+    d = draw(st.integers(1, 4))
+    j = draw(st.integers(0, d - 1))
+    norm = draw(st.sampled_from(list(Norm)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    uset = UncertaintySet(
+        rng.normal(size=(int(rng.integers(1, 5)), d)), float(rng.uniform(0.0, 1.0)), norm
+    )
+    one_sided = [(None, None), (float(rng.uniform(-2.0, 0.0)), None), (None, 2.0)]
+    bounds = [one_sided[int(rng.integers(3))] for _ in range(d)]
+    lo = float(rng.uniform(-2.0, 0.5))
+    bounds[j] = (lo, lo + float(rng.uniform(0.0, 3.0)))
+    model = RobustLinearProgram(
+        objective=rng.uniform(-1.0, 1.0, d),
+        deterministic_rows=(LinearRow(rng.normal(size=d), float(rng.uniform(0.5, 3.0))),),
+        robust_rows=(RobustRow(uset, float(rng.uniform(0.5, 3.0))),),
+        bounds=bounds,
+    )
+    return model, j
 
 
 def highs_objective(model):
@@ -103,3 +127,29 @@ def test_pessimize_witness_is_a_member(model, norm, seed):
     worst = worst_case_linear(uset, x)
     assert abs(violation - (worst - row.b)) <= 1e-12 * max(1.0, abs(worst))
     assert abs(float(witness @ x) - worst) <= 1e-9 * max(1.0, abs(worst))
+
+
+@PROPERTY_SETTINGS
+@given(models_with_one_range())
+def test_two_sided_bound_solves_as_an_upper_row(case):
+    # The upper side of a two-sided bound is the row x_j <= hi placed right
+    # after the deterministic rows, so writing it as the last deterministic
+    # row must not change a bit of the solve.  Only the certificate differs:
+    # max_violation scores deterministic rows, and now also x_j <= hi.
+    model, j = case
+    lo, hi = model.bounds[j]
+    bounds = list(model.bounds)
+    bounds[j] = (lo, None)
+    variant = RobustLinearProgram(
+        objective=model.objective,
+        deterministic_rows=model.deterministic_rows
+        + (LinearRow(np.eye(model.num_variables)[j], hi),),
+        robust_rows=model.robust_rows,
+        bounds=bounds,
+    )
+    report, expected = solve(model), solve(variant)
+    got = report.to_dict()
+    if report.x_star is not None:
+        assert report.x_star.tobytes() == expected.x_star.tobytes()
+        got["max_violation"] = max(report.max_violation, float(report.x_star[j]) - hi)
+    assert got == expected.to_dict()
