@@ -293,27 +293,16 @@ def chernoff_violation_bounds(
 
 
 def _binomial_cdf(k_max: int, n: int, p: float) -> float:
-    # P(Bin(n, p) <= k_max) summed in log space.  Log-gamma keeps the
-    # binomial coefficients finite and the ascending-magnitude summation
-    # keeps the result stable out to n ~ 1e6.  scipy is imported here, not
-    # at module top, so that importing ballcover does not load it.
-    from scipy.special import gammaln
+    # P(Bin(n, p) <= k_max) as scipy's regularized incomplete beta function.
+    # bdtr is nan for k_max < 0, hence the first guard.  scipy is imported
+    # here, not at module top, so that importing ballcover does not load it.
+    from scipy.special import bdtr
 
     if k_max < 0:
         return 0.0
     if k_max >= n or p == 0.0:
         return 1.0
-    i = np.arange(0, k_max + 1)
-    log_terms = (
-        gammaln(n + 1)
-        - gammaln(i + 1)
-        - gammaln(n - i + 1)
-        + i * math.log(p)
-        + (n - i) * math.log1p(-p)
-    )
-    peak = float(log_terms.max())
-    total = peak + math.log(float(np.sort(np.exp(log_terms - peak)).sum()))
-    return min(1.0, math.exp(total))
+    return float(bdtr(k_max, n, p))
 
 
 def exact_violation_probs(

@@ -18,7 +18,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import DimensionError, UncertaintySet, norm_eval, shape_values
+from .geometry import (
+    _CHUNK_BUDGET,
+    DimensionError,
+    UncertaintySet,
+    norm_eval,
+    shape_values,
+)
 
 __all__ = [
     "GaussianMixture",
@@ -140,10 +146,13 @@ class GaussianMixture:
     def sample(self, stream: RandomStream, n: int) -> np.ndarray:
         """Draw n i.i.d. points: weighted component choice, then mean + L z.
 
-        The standard normals are transformed in place, one component's rows
-        at a time, so the scratch memory is a few (n, d) arrays; no (n, d, d)
-        copy of the factors is made.  Each point goes through the same
-        products and sums as ``means[comp] + einsum("nij,nj->ni",
+        The standard normals are transformed in place, one block of rows at
+        a time and, within a block, one component's rows at a time.  A block
+        has ``_CHUNK_BUDGET // (2 * d + 1)`` rows, so its gathered rows, their
+        transform and their row indices fit one budget; beyond the output
+        the scratch memory is the n component labels plus one block, and no
+        (n, d, d) copy of the factors is made.  Each point goes through the
+        same products and sums as ``means[comp] + einsum("nij,nj->ni",
         factors[comp], z)``, so the draws are identical to that formula's.
         """
         if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
@@ -156,13 +165,17 @@ class GaussianMixture:
         rng = stream.generator()
         comp = rng.choice(self.num_components, size=n, p=self._weights)
         z = rng.standard_normal((n, d))
-        # The components' row sets are disjoint, so each write touches only
-        # rows that no other component reads.
-        for k, (mean, factor) in enumerate(zip(self._means, self._factors)):
-            rows = np.flatnonzero(comp == k)
-            points = np.einsum("ij,nj->ni", factor, z.take(rows, axis=0))
-            points += mean
-            z[rows] = points
+        block = max(1, _CHUNK_BUDGET // (2 * d + 1))
+        for start in range(0, n, block):
+            labels = comp[start : start + block]
+            z_block = z[start : start + block]
+            # The components' row sets are disjoint, so each write touches
+            # only rows that no other component reads.
+            for k, (mean, factor) in enumerate(zip(self._means, self._factors)):
+                rows = np.flatnonzero(labels == k)
+                points = np.einsum("ij,nj->ni", factor, z_block.take(rows, axis=0))
+                points += mean
+                z_block[rows] = points
         return z
 
     def density(self, u) -> float | np.ndarray:

@@ -7,7 +7,13 @@ import numpy as np
 import pytest
 from scipy.special import ndtr
 
-from ballcover.geometry import DimensionError, Norm, UncertaintySet, member_batch
+from ballcover.geometry import (
+    _CHUNK_BUDGET,
+    DimensionError,
+    Norm,
+    UncertaintySet,
+    member_batch,
+)
 from ballcover.mixtures import (
     GaussianMixture,
     RandomStream,
@@ -182,7 +188,7 @@ class TestSampling:
         + [correlated(d, seed=d) for d in (1, 3, 8, 9, 20)],
         ids=["isotropic", "peaked", "fourmode", "d1", "d3", "d8", "d9", "d20"],
     )
-    @pytest.mark.parametrize("n", [0, 1, 2, 4918])
+    @pytest.mark.parametrize("n", [0, 1, 2, 4918, 100_003])
     def test_matches_the_gather_formula_bit_for_bit(self, mix, n):
         for seed in range(4):
             stream = RandomStream(seed, 11)
@@ -210,6 +216,24 @@ class TestSampling:
         finally:
             tracemalloc.stop()
         assert peak < 20 * 2**20
+
+    @pytest.mark.parametrize(
+        "mix",
+        [bundled_mixture("peaked"), bundled_mixture("fourmode"), correlated(3, seed=3)],
+        ids=["peaked", "fourmode", "d3"],
+    )
+    def test_scratch_memory_is_the_labels_plus_one_block(self, mix):
+        # Beyond its output the sampler keeps one int64 label per draw and
+        # one block of rows (its gather, transform and row indices fit one
+        # _CHUNK_BUDGET); a gather of all of a component's rows would not.
+        n = 200_000
+        tracemalloc.start()
+        try:
+            out = mix.sample(RandomStream(4, 0), n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= out.nbytes + 8 * n + 8 * _CHUNK_BUDGET + 64 * 1024
 
     def test_density_integrates_to_one(self):
         # Importance sampling against a wide proposal.
