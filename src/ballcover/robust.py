@@ -20,7 +20,7 @@ LP core.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -46,14 +46,7 @@ __all__ = [
 ]
 
 FEASIBILITY_TOL = 1e-7
-CUT_TOL = 1e-7
 MAX_CUTS = 500
-
-# The cutting-plane path boxes |x_j| so every relaxation stays bounded;
-# a converged iterate pinned to the box is reported as unbounded.  Models
-# whose genuine optimum has coordinates near this magnitude are out of
-# scope.
-_TRUST_BOX = 1e6
 
 
 class ModelError(ValueError):
@@ -209,10 +202,10 @@ class SolveReport:
     ``max_violation`` is the largest constraint residual at ``x_star``
     (deterministic rows and robust worst cases alike; negative values mean
     slack) and is 0.0 when no point is reported.  ``cuts_added`` counts
-    the gradient cuts added to the L2 cone, one per cutting-plane round; it
-    is 0 for models without an L2 ball of positive radius.  The tolerances
-    are the module constants ``FEASIBILITY_TOL`` and ``CUT_TOL``; they and
-    the cut cap that governed the solve are recorded for reproducibility.
+    the cuts added to the L2 cone, feasibility solve included; it is 0 for
+    models without an L2 ball of positive radius.  The stopping tolerance
+    ``FEASIBILITY_TOL`` and the cut cap that governed the solve are
+    recorded for reproducibility.
     """
 
     status: LPStatus
@@ -221,7 +214,6 @@ class SolveReport:
     cuts_added: int
     max_violation: float
     feasibility_tol: float = FEASIBILITY_TOL
-    cut_tol: float = CUT_TOL
     max_cuts: int = MAX_CUTS
 
     def to_dict(self) -> dict:
@@ -232,7 +224,6 @@ class SolveReport:
             "cuts_added": self.cuts_added,
             "max_violation": self.max_violation,
             "feasibility_tol": self.feasibility_tol,
-            "cut_tol": self.cut_tol,
             "max_cuts": self.max_cuts,
         }
 
@@ -263,18 +254,16 @@ def _substitution(bounds, dim: int) -> tuple[np.ndarray, np.ndarray]:
     return lift, shift
 
 
-def _relaxation(
-    rlp: RobustLinearProgram, trust_box: bool
-) -> tuple[np.ndarray, np.ndarray, dict[Norm, int]]:
+def _relaxation(rlp: RobustLinearProgram) -> tuple[np.ndarray, np.ndarray, dict[Norm, int]]:
     """The base LP rows over ``[x | t per norm in use | s]``, their
     right-hand sides, and the column ``t`` of each ball norm in use.
 
     In order: the deterministic rows, ``x_j <= upper`` for each two-sided
-    bound, the epigraph rows, one row ``center . x + radius * t <= b`` per
-    robust center, and, if ``trust_box``, the rows ``|x_j| <= _TRUST_BOX``.
-    The L1 epigraph (dual: max norm) is ``t >= |x_j|``; the LINF epigraph
-    (dual: sum norm) is ``s_j >= |x_j|`` and ``sum(s) <= t``.  The L2
-    epigraph starts with no rows; the cuts of :func:`solve` build it.
+    bound, the epigraph rows, and one row ``center . x + radius * t <= b``
+    per robust center.  The L1 epigraph (dual: max norm) is ``t >= |x_j|``;
+    the LINF epigraph (dual: sum norm) is ``s_j >= |x_j|`` and
+    ``sum(s) <= t``.  The L2 epigraph starts with no rows; the cuts of
+    :func:`solve` build it, so an L2 relaxation may be unbounded.
     """
     dim = rlp.num_variables
     norms = [
@@ -320,10 +309,6 @@ def _relaxation(
         uset = row.uncertainty_set
         for center in uset.centers:
             add(center, row.b, aux=[(t_col[uset.norm], uset.radius)])
-    if trust_box:
-        for j in range(dim):
-            add(identity[j], _TRUST_BOX)
-            add(-identity[j], _TRUST_BOX)
     return np.array(rows).reshape(len(rows), width), np.array(rhs), t_col
 
 
@@ -342,24 +327,23 @@ def solve(rlp: RobustLinearProgram, *, max_cuts: int = MAX_CUTS) -> SolveReport:
     ``center . x + radius * t <= b`` over the epigraph column ``t`` of its
     ball norm; the L1 and LINF epigraphs are exact.  While some L2 row of
     positive radius has a worst case above its bound by more than
-    ``min(CUT_TOL, FEASIBILITY_TOL)`` at the iterate ``x_hat``, each round
-    adds the one gradient cut ``(x_hat / ||x_hat||_2) . x <= t`` to the L2
-    cone and solves again, for at most ``max_cuts`` rounds.
+    ``FEASIBILITY_TOL`` at the iterate ``x_hat``, each round adds the one
+    gradient cut ``(x_hat / ||x_hat||_2) . x <= t`` to the L2 cone and
+    solves again, for at most ``max_cuts`` rounds in all.  An unbounded
+    relaxation's ray ``(ray_x, ray_t)`` is cut the same way unless
+    ``||ray_x||_2 <= ray_t * (1 + FEASIBILITY_TOL)``; then the model is
+    UNBOUNDED if a zero-objective solve finds it feasible.
     """
     dim = rlp.num_variables
-    if any(lo is not None and hi is not None and hi < lo for lo, hi in rlp.bounds or ()):
-        return SolveReport(LPStatus.INFEASIBLE, None, None, 0, 0.0, max_cuts=max_cuts)
-
     cone_rows = [
         row
         for row in rlp.robust_rows
         if row.uncertainty_set.norm is Norm.L2 and row.uncertainty_set.radius > 0.0
     ]
     lift, shift = _substitution(rlp.bounds, dim)
-    rows, rhs, t_col = _relaxation(rlp, trust_box=bool(cone_rows))
+    rows, rhs, t_col = _relaxation(rlp)
     cost = np.zeros(lift.shape[1] + rows.shape[1] - dim)
     cost[: lift.shape[1]] = rlp.objective @ lift
-    threshold = min(CUT_TOL, FEASIBILITY_TOL)
     cuts_added = 0
 
     while True:
@@ -369,28 +353,38 @@ def solve(rlp: RobustLinearProgram, *, max_cuts: int = MAX_CUTS) -> SolveReport:
         a_mat = np.hstack([rows[:, :dim] @ lift, rows[:, dim:]])
         b_vec = np.array([b - float(a[:dim] @ shift) for a, b in zip(rows, rhs)])
         result = solve_lp(cost, a_mat, b_vec)
-        if result.status is not LPStatus.OPTIMAL:
-            return SolveReport(result.status, None, None, cuts_added, 0.0, max_cuts=max_cuts)
-        x_hat = lift @ result.x[: lift.shape[1]] + shift
-        violation = max(
-            (worst_case_linear(row.uncertainty_set, x_hat) - row.b for row in cone_rows),
-            default=-math.inf,
-        )
-        if violation <= threshold or cuts_added >= max_cuts:
+        status, x_hat = result.status, None
+        if status is LPStatus.UNBOUNDED and cone_rows:
+            point = lift @ result.ray[: lift.shape[1]]
+            ray_t = result.ray[lift.shape[1] + t_col[Norm.L2] - dim]
+            if np.linalg.norm(point) <= ray_t * (1.0 + FEASIBILITY_TOL):
+                zero = replace(rlp, objective=np.zeros(dim))
+                inner = solve(zero, max_cuts=max_cuts - cuts_added)
+                cuts_added += inner.cuts_added
+                status = LPStatus.UNBOUNDED if inner.status is LPStatus.OPTIMAL else inner.status
+                break
+        elif status is not LPStatus.OPTIMAL:
+            break
+        else:
+            x_hat = point = lift @ result.x[: lift.shape[1]] + shift
+            violation = max(
+                (worst_case_linear(row.uncertainty_set, x_hat) - row.b for row in cone_rows),
+                default=-math.inf,
+            )
+            if violation <= FEASIBILITY_TOL:
+                break
+        if cuts_added >= max_cuts:
+            status = LPStatus.ITERATION_LIMIT
             break
         cut = np.zeros(rows.shape[1])
-        cut[:dim] = dual_achieving_direction(x_hat, Norm.L2)
+        cut[:dim] = dual_achieving_direction(point, Norm.L2)
         cut[t_col[Norm.L2]] = -1.0
         rows = np.vstack([rows, cut])
         rhs = np.append(rhs, 0.0)
         cuts_added += 1
 
-    if violation > threshold:
-        status = LPStatus.ITERATION_LIMIT
-    elif cone_rows and np.max(np.abs(x_hat)) >= _TRUST_BOX * (1.0 - 1e-9):
-        return SolveReport(LPStatus.UNBOUNDED, None, None, cuts_added, 0.0, max_cuts=max_cuts)
-    else:
-        status = LPStatus.OPTIMAL
+    if x_hat is None:
+        return SolveReport(status, None, None, cuts_added, 0.0, max_cuts=max_cuts)
     objective = float(rlp.objective @ x_hat)
     return SolveReport(
         status, x_hat, objective, cuts_added, _certificate(rlp, x_hat), max_cuts=max_cuts

@@ -2,12 +2,14 @@
 
 Solves   maximize c.x   subject to   A x <= b,  x >= 0.
 
+Each row of A (with its b), then each column, is first scaled to max |entry| 1.
 Bland's smallest-index rule is used for both the entering and the leaving
-choice, which rules out cycling on degenerate instances; an iteration cap
-of 50 * (rows + columns) backstops numerical stalls.  Rows with negative
-right-hand sides get artificial variables and a phase-1 feasibility solve.
-Everything is dense numpy; intended for desk-scale problems, not large or
-sparse ones.
+choice, which rules out cycling on degenerate instances; the ratio test skips
+entries below ``_PIVOT_TOL`` or ``_RATIO_TOL`` times the column's largest
+entry, and 50 * (rows + columns) iterations cap numerical stalls.  Rows with
+negative right-hand sides get artificial variables and a phase-1 feasibility
+solve.  Everything is dense numpy; intended for desk-scale problems, not large
+or sparse ones.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ import numpy as np
 __all__ = ["LPStatus", "LPResult", "solve_lp"]
 
 _PIVOT_TOL = 1e-9
+_RATIO_TOL = 1e-8
 
 
 class LPStatus(enum.Enum):
@@ -35,6 +38,7 @@ class LPResult:
     x: np.ndarray | None
     objective: float | None
     iterations: int
+    ray: np.ndarray | None = None  # UNBOUNDED: d >= 0, A d <= 0 to pivot tolerance, c.d > 0
 
 
 def _pivot(tableau: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
@@ -47,22 +51,22 @@ def _pivot(tableau: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
 def _bland_iterate(tableau, basis, candidate_cols, budget):
     """Run Bland pivots until optimal or unbounded, within an iteration budget.
 
-    Returns (status, iterations_used); ITERATION_LIMIT means the budget ran
-    out with improving columns still present.
+    Returns (status, iterations_used, col); ITERATION_LIMIT means the budget
+    ran out, and col is the entering column that found no pivot row (UNBOUNDED).
     """
     used = 0
     while True:
         objective_row = tableau[-1, candidate_cols]
         improving = np.where(objective_row < -_PIVOT_TOL)[0]
         if improving.size == 0:
-            return LPStatus.OPTIMAL, used
+            return LPStatus.OPTIMAL, used, None
         if used >= budget:
-            return LPStatus.ITERATION_LIMIT, used
+            return LPStatus.ITERATION_LIMIT, used, None
         col = int(candidate_cols[improving[0]])
         column = tableau[:-1, col]
-        eligible = np.where(column > _PIVOT_TOL)[0]
+        eligible = np.where(column > max(_PIVOT_TOL, _RATIO_TOL * column.max(initial=0.0)))[0]
         if eligible.size == 0:
-            return LPStatus.UNBOUNDED, used
+            return LPStatus.UNBOUNDED, used, col
         ratios = tableau[eligible, -1] / column[eligible]
         best = float(ratios.min())
         ties = eligible[ratios <= best + 1e-12 * max(1.0, abs(best))]
@@ -74,8 +78,8 @@ def _bland_iterate(tableau, basis, candidate_cols, budget):
 def solve_lp(c, A, b, *, max_iterations: int | None = None) -> LPResult:
     """Maximize c.x subject to A x <= b and x >= 0.
 
-    Raises ValueError for mismatched shapes, and for rows so badly scaled
-    that phase 1 cannot pivot on an entry above the absolute ``_PIVOT_TOL``.
+    Raises ValueError for mismatched shapes, and for rows so badly scaled,
+    even after equilibration, that phase 1 finds no pivot row.
     """
     c = np.asarray(c, dtype=float)
     A = np.asarray(A, dtype=float)
@@ -85,6 +89,11 @@ def solve_lp(c, A, b, *, max_iterations: int | None = None) -> LPResult:
     if c.ndim != 1 or A.ndim != 2 or A.shape[1] != c.size or b.shape != (A.shape[0],):
         raise ValueError(f"incompatible shapes: c {c.shape}, A {A.shape}, b {b.shape}")
     m, n = A.shape
+    # Equilibrate rows (with b), then columns; the LP is solved over col_scale * x.
+    row_scale = np.where(A.any(axis=1), np.abs(A).max(axis=1, initial=0.0), 1.0)
+    A, b = A / row_scale[:, np.newaxis], b / row_scale
+    col_scale = np.where(A.any(axis=0), np.abs(A).max(axis=0, initial=0.0), 1.0)
+    A = A / col_scale
 
     flip = b < 0
     rows = np.where(flip[:, np.newaxis], -A, A)
@@ -115,15 +124,14 @@ def solve_lp(c, A, b, *, max_iterations: int | None = None) -> LPResult:
         for i in art_rows:
             tableau[-1, :] -= tableau[i, :]
         # Artificials never re-enter once they leave the basis.
-        status, used = _bland_iterate(tableau, basis, structural_cols, max_iterations)
+        status, used, _ = _bland_iterate(tableau, basis, structural_cols, max_iterations)
         iterations += used
         if status is LPStatus.UNBOUNDED:
-            # Phase 1 is bounded by 0, so no pivot row means the only pivot
-            # entries of an improving column fell below the absolute _PIVOT_TOL.
+            # Phase 1 is bounded by 0: the entering column fell below tolerance.
             raise ValueError(
-                "constraint rows are too badly scaled for the pivot tolerance "
-                f"{_PIVOT_TOL:g}; rescale the rows so their coefficients are of "
-                "similar magnitude"
+                "constraint rows are too badly scaled for the pivot tolerances "
+                f"({_PIVOT_TOL:g} absolute, {_RATIO_TOL:g} relative); rescale the "
+                "rows so their coefficients are of similar magnitude"
             )
         if status is LPStatus.ITERATION_LIMIT:
             return LPResult(LPStatus.ITERATION_LIMIT, None, None, iterations)
@@ -141,22 +149,25 @@ def solve_lp(c, A, b, *, max_iterations: int | None = None) -> LPResult:
 
     # Phase 2 objective row: start from -c and price out the basic columns.
     cost = np.zeros(n + m)
-    cost[:n] = c
+    cost[:n] = c / col_scale
     tableau[-1, :-1] = -cost
     tableau[-1, -1] = 0.0
     for i in range(m):
         coeff = cost[basis[i]]
         if coeff != 0.0:
             tableau[-1, :] += coeff * tableau[i, :]
-    status, used = _bland_iterate(
+    status, used, col = _bland_iterate(
         tableau, basis, structural_cols, max_iterations - iterations
     )
     iterations += used
+    full = np.zeros(n + m)
+    if status is LPStatus.UNBOUNDED:
+        full[basis], full[col] = -tableau[:m, col], 1.0
+        return LPResult(status, None, None, iterations, full[:n] / col_scale)
     if status is not LPStatus.OPTIMAL:
         return LPResult(status, None, None, iterations)
 
-    full = np.zeros(n + m)
     full[basis] = tableau[:m, -1]
     x = np.where(np.abs(full[:n]) < 1e-12, 0.0, full[:n])
-    x = np.maximum(x, 0.0)
+    x = np.maximum(x, 0.0) / col_scale
     return LPResult(LPStatus.OPTIMAL, x, float(c @ x), iterations)

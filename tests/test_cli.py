@@ -465,10 +465,15 @@ class TestSolve:
             {"objective": [1.0], "robust_rows": [{"b": 1.0}]},
             [1.0, 2.0],
             {
-                "objective": [0.0],
-                "rows": [{"a": [-3e-10], "b": -3.0}, {"a": [-0.3], "b": -2.0}],
+                "objective": [0.0] * 4,
+                "rows": [
+                    {"a": [-5e-10, 1.0, 0.0, 0.0], "b": -1.0},
+                    {"a": [-5e-10, 0.0, 1.0, 0.0], "b": -1.0},
+                    {"a": [-5e-10, 0.0, 0.0, 1.0], "b": -1.0},
+                    {"a": [-1.0, 0.0, 0.0, 0.0], "b": 1.0},
+                ],
                 "robust_rows": [],
-                "bounds": [[0.0, None]],
+                "bounds": [[0.0, None]] * 4,
             },
         ],
         ids=[
@@ -486,6 +491,22 @@ class TestSolve:
         assert rc == 2
         assert capsys.readouterr().err.startswith("error:")
         assert not (tmp_path / "report.json").exists()
+
+    def test_badly_scaled_rows_exit_0(self, tmp_path, capsys):
+        # x >= 1e10 through a row whose only coefficient is 3e-10.
+        model = {
+            "objective": [0.0],
+            "rows": [{"a": [-3e-10], "b": -3.0}, {"a": [-0.3], "b": -2.0}],
+            "robust_rows": [],
+            "bounds": [[0.0, None]],
+        }
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(model))
+        rc = main(["solve", "--model", str(path), "--out-dir", str(tmp_path)])
+        assert rc == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["status"] == "optimal"
+        assert report["x_star"] == pytest.approx([1e10], rel=1e-12)
 
 
 class TestConfigResolution:

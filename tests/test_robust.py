@@ -524,8 +524,8 @@ class TestCuttingTermination:
                 assert report.status is LPStatus.ITERATION_LIMIT
                 assert report.cuts_added == budget
                 # The next cut would be generated at this iterate, so the
-                # iterate must still violate the row by more than cut_tol.
-                assert report.max_violation > report.cut_tol
+                # iterate must still violate the row by more than feasibility_tol.
+                assert report.max_violation > report.feasibility_tol
                 residual, _ = pessimize(model, report.x_star)
                 np.testing.assert_allclose(
                     residual, report.max_violation, atol=1e-12

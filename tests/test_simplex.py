@@ -64,11 +64,36 @@ class TestBasics:
         with pytest.raises(ValueError):
             solve_lp([1.0, 2.0], [[1.0]], [1.0])
 
+    @pytest.mark.parametrize(
+        "A, b",
+        [([[-3e-10]], [-3.0]), ([[-3e-10], [-0.3]], [-3.0, -2.0])],
+        ids=["one-row", "two-rows"],
+    )
+    def test_badly_scaled_rows_solve(self, A, b):
+        # x1 >= 1e10: the row's only entry, 3e-10, is tiny until the row is
+        # equilibrated.
+        res = solve_lp([0.0], A, b)
+        assert res.status is LPStatus.OPTIMAL
+        np.testing.assert_allclose(res.x, [1e10], rtol=1e-12)
+
+    @pytest.mark.parametrize(
+        "c, A, b",
+        [([0.0, 1.0], [[1.0, 5e-9]], [1.0]), ([0.0, 0.0], [[-5e-9, 1.0]], [-1.0])],
+        ids=["phase-2", "phase-1"],
+    )
+    def test_tiny_column_is_pivoted_on(self, c, A, b):
+        # The optimum puts 2e8 on the variable whose only entry is 5e-9, next
+        # to an entry of 1 in the same row.
+        res = solve_lp(c, A, b)
+        assert res.status is LPStatus.OPTIMAL
+        assert np.max(res.x) == pytest.approx(2e8, rel=1e-12)
+
     def test_badly_scaled_rows_raise_value_error(self):
-        # Feasible (x1 >= 1e10), but phase 1's only pivot entry, 3e-10, is
-        # below the absolute pivot tolerance.
+        # Feasible (x1 >= 2e9), but each row's entry in x1's column is 5e-10
+        # after equilibration, and the row x1 >= -1 keeps that column's scale.
+        A = [[-5e-10, 1, 0, 0], [-5e-10, 0, 1, 0], [-5e-10, 0, 0, 1], [-1, 0, 0, 0]]
         with pytest.raises(ValueError, match="badly scaled"):
-            solve_lp([0.0], [[-3e-10], [-0.3]], [-3.0, -2.0])
+            solve_lp([0.0] * 4, A, [-1.0, -1.0, -1.0, 1.0])
 
 
 class TestDegeneracy:
