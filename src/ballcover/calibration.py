@@ -260,7 +260,7 @@ def calibrate_radius(
 
 
 def _check_level_hypothesis(n, alpha, epsilon, alpha_n):
-    if not (isinstance(n, (int, np.integer)) and n >= 1):
+    if isinstance(n, bool) or not (isinstance(n, (int, np.integer)) and n >= 1):
         raise ValueError(f"n must be a positive integer, got {n!r}")
     alpha = _check_range("alpha", alpha, 0.0, 1.0)
     epsilon = _check_range("epsilon", epsilon, 0.0, 1.0 - alpha)

@@ -10,6 +10,7 @@ tooling.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -39,14 +40,53 @@ __all__ = [
 ]
 
 
+def _workers() -> int:
+    """Number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no CPU affinity on this platform
+        return os.cpu_count() or 1
+
+
+def _count_hits(uset: UncertaintySet, draws: np.ndarray, piece: int) -> int:
+    """Number of rows of ``draws`` inside the set, scored ``piece`` rows at a time."""
+    return sum(
+        int(np.count_nonzero(member_batch(uset, draws[start : start + piece])))
+        for start in range(0, draws.shape[0], piece)
+    )
+
+
 def estimate_coverage(
     uset: UncertaintySet, mix: GaussianMixture, n_samples: int, stream: RandomStream
 ) -> float:
-    """Fraction of ``n_samples`` i.i.d. draws from ``mix`` inside the set."""
+    """Fraction of ``n_samples`` i.i.d. draws from ``mix`` inside the set.
+
+    The draws are split into one contiguous share per CPU the process may
+    run on; the calling thread scores the first share and a pool opened for
+    this call scores the rest (numpy releases the GIL inside the kernel).
+    Each share is scored in pieces of ``_CHUNK_BUDGET // (m * d * workers)``
+    rows, with at most ``_CHUNK_BUDGET // (m * d)`` shares so that a piece
+    keeps at least one row: the kernel blocks in flight together stay within
+    one budget.  Every row gets the same
+    :func:`~ballcover.geometry.member_batch` arithmetic and the hit counts
+    are integers, so the estimate does not depend on the number of CPUs.
+    """
     if n_samples < 1:
         raise ValueError(f"n_samples must be >= 1, got {n_samples}")
     draws = mix.sample(stream, n_samples)
-    return float(np.count_nonzero(member_batch(uset, draws))) / float(n_samples)
+    row = uset.num_balls * uset.dimension
+    workers = max(1, min(_workers(), n_samples, _CHUNK_BUDGET // row))
+    piece = max(1, _CHUNK_BUDGET // (row * workers))
+    # Imported here so that commands which never estimate coverage skip it.
+    from concurrent.futures import ThreadPoolExecutor
+
+    first, *rest = np.array_split(draws, workers)
+    # The pool starts a thread per submitted share only, so one CPU starts none.
+    with ThreadPoolExecutor(workers) as pool:
+        futures = [pool.submit(_count_hits, uset, share, piece) for share in rest]
+        hits = _count_hits(uset, first, piece)
+        hits += sum(future.result() for future in futures)
+    return float(hits) / float(n_samples)
 
 
 @dataclass(frozen=True)
@@ -76,7 +116,9 @@ class ConsistencyConfig:
             raise TypeError(f"norm must be a Norm, got {self.norm!r}")
         for name in ("num_centers", "trials", "coverage_samples"):
             value = getattr(self, name)
-            if not (isinstance(value, (int, np.integer)) and value >= 1):
+            if isinstance(value, bool) or not (
+                isinstance(value, (int, np.integer)) and value >= 1
+            ):
                 raise ValueError(f"{name} must be a positive integer, got {value!r}")
 
 
@@ -193,8 +235,12 @@ def run_role_of_m_study(
     box_volume * sqrt(p(1-p)/volume_samples)).  For 2-D mixtures each
     entry also carries a raster of the set on that box.
     """
-    if volume_samples < 1:
-        raise ValueError(f"volume_samples must be >= 1, got {volume_samples}")
+    if isinstance(volume_samples, bool) or not (
+        isinstance(volume_samples, (int, np.integer)) and volume_samples >= 1
+    ):
+        raise ValueError(
+            f"volume_samples must be a positive integer, got {volume_samples!r}"
+        )
     entries = []
     for j, m in enumerate(m_values):
         shape = mixture.sample(RandomStream(seed, 3 * j), int(m))

@@ -162,6 +162,10 @@ class TestChernoffBounds:
             chernoff_violation_bounds(100, 0.9, 0.05, 0.96)
         with pytest.raises(ValueError):
             chernoff_violation_bounds(0, 0.9, 0.05, 0.92)
+        with pytest.raises(ValueError):
+            chernoff_violation_bounds(True, 0.9, 0.05, 0.91)
+        with pytest.raises(ValueError):
+            exact_violation_probs(True, 0.9, 0.05, 0.91)
 
 
 class TestExactViolationProbs:

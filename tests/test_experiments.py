@@ -1,6 +1,7 @@
 """Tests for the Monte-Carlo harnesses and raster helpers."""
 
 import math
+import threading
 import warnings
 
 import numpy as np
@@ -34,6 +35,7 @@ from ballcover.geometry import (
     UncertaintySet,
     _within,
     member_batch,
+    shape_values,
 )
 from ballcover.mixtures import GaussianMixture, RandomStream, bundled_mixture, true_ball_mass
 
@@ -90,6 +92,65 @@ class TestEstimateCoverage:
         uset = UncertaintySet(centers=[[0.0, 0.0, 0.0]], radius=1.0, norm=Norm.L2)
         with pytest.raises(DimensionError):
             estimate_coverage(uset, standard_normal_2d(), 10, RandomStream(1, 0))
+
+    @staticmethod
+    def median_radius_set(mix, norm):
+        centers = mix.sample(RandomStream(3, 0), 10)
+        radius = np.median(shape_values(centers, norm, mix.sample(RandomStream(3, 1), 1_000)))
+        return UncertaintySet(centers=centers, radius=float(radius), norm=norm)
+
+    @pytest.mark.parametrize("norm", list(Norm))
+    @pytest.mark.parametrize(
+        "n", [1, 2, 3, 4, ("piece", -1), ("piece", 0), ("piece", 1), 100_003]
+    )
+    @pytest.mark.parametrize("workers", [1, 2, 3, 5])
+    def test_split_matches_the_serial_formula(self, monkeypatch, workers, n, norm):
+        mix = bundled_mixture("peaked")
+        uset = self.median_radius_set(mix, norm)
+        if isinstance(n, tuple):
+            # Rows per member_batch call; n is above the worker count here.
+            n = max(1, _CHUNK_BUDGET // (uset.num_balls * uset.dimension * workers)) + n[1]
+        monkeypatch.setattr(experiments, "_workers", lambda: workers)
+        threads = threading.active_count()
+        value = estimate_coverage(uset, mix, n, RandomStream(8, n))
+        assert threading.active_count() == threads
+        serial = np.count_nonzero(member_batch(uset, mix.sample(RandomStream(8, n), n))) / n
+        assert value == serial
+
+    def test_error_on_the_last_share_reaches_the_caller(self, monkeypatch):
+        mix = bundled_mixture("peaked")
+        uset = self.median_radius_set(mix, Norm.L2)
+        last_draw = mix.sample(RandomStream(8, 0), 10_000)[-1]
+
+        def failing_member_batch(uset, points):
+            if np.array_equal(points[-1], last_draw):
+                raise RuntimeError("scoring failed on the last share")
+            return member_batch(uset, points)
+
+        monkeypatch.setattr(experiments, "_workers", lambda: 3)
+        monkeypatch.setattr(experiments, "member_batch", failing_member_batch)
+        with pytest.raises(RuntimeError, match="last share"):
+            estimate_coverage(uset, mix, 10_000, RandomStream(8, 0))
+
+    @pytest.mark.parametrize("m", [10_000, 20_000])
+    def test_many_centers_cap_the_shares_to_one_block(self, monkeypatch, m):
+        # m * d = 20_000 leaves room for 3 one-row pieces, 40_000 for one.
+        mix = bundled_mixture("peaked")
+        uset = UncertaintySet(centers=mix.sample(RandomStream(3, 0), m), radius=0.5, norm=Norm.L2)
+        calls = []
+
+        def recording_member_batch(uset, points):
+            calls.append((threading.get_ident(), points.shape[0]))
+            return member_batch(uset, points)
+
+        monkeypatch.setattr(experiments, "_workers", lambda: 5)
+        monkeypatch.setattr(experiments, "member_batch", recording_member_batch)
+        value = estimate_coverage(uset, mix, 12, RandomStream(8, 0))
+        threads = {ident for ident, _ in calls}
+        rows = max(size for _, size in calls)
+        assert len(threads) * rows * m * 2 <= _CHUNK_BUDGET
+        serial = np.count_nonzero(member_batch(uset, mix.sample(RandomStream(8, 0), 12))) / 12
+        assert value == serial
 
 
 class TestConsistencyExperiment:
@@ -152,6 +213,9 @@ class TestConsistencyExperiment:
             self.small_config(trials=0)
         with pytest.raises(ValueError):
             self.small_config(coverage_samples=0)
+        for name in ("num_centers", "trials", "coverage_samples"):
+            with pytest.raises(ValueError):
+                self.small_config(**{name: True})
         with pytest.raises(TypeError):
             self.small_config(calibration=0.9)
 
@@ -443,3 +507,13 @@ class TestRoleOfMStudy:
         )
         assert entries[0]["raster"] is None
         assert entries[0]["radius"] > entries[1]["radius"]
+
+    @pytest.mark.parametrize("volume_samples", [0, True, 2.5])
+    def test_volume_samples_must_be_a_positive_integer(self, volume_samples):
+        with pytest.raises(ValueError, match="volume_samples"):
+            run_role_of_m_study(
+                bundled_mixture("fourmode"),
+                quick_spec(),
+                [1],
+                volume_samples=volume_samples,
+            )

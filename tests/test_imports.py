@@ -1,7 +1,8 @@
 """The package's public surface, and the scipy-free import path.
 
 Importing ballcover, and the commands that never need scipy, load no
-scipy module.
+scipy module; nor do they load concurrent.futures, which only the
+coverage estimate uses.
 """
 
 import importlib
@@ -43,7 +44,8 @@ with contextlib.redirect_stdout(io.StringIO()), tempfile.TemporaryDirectory() as
         ),
     ]
 scipy = sorted(name for name in sys.modules if name.startswith("scipy"))
-print(json.dumps({"codes": codes, "scipy": scipy}))
+futures = sorted(name for name in sys.modules if name.startswith("concurrent.futures"))
+print(json.dumps({"codes": codes, "scipy": scipy, "futures": futures}))
 """
 
 
@@ -54,6 +56,7 @@ def test_cli_commands_load_no_scipy():
     result = json.loads(proc.stdout)
     assert result["codes"] == [0, 0, 0]
     assert result["scipy"] == []
+    assert result["futures"] == []
 
 
 def test_top_level_exports_exactly_the_library_names():
