@@ -194,31 +194,6 @@ class CalibrationSpec:
         object.__setattr__(self, "alpha_n", alpha_n)
         object.__setattr__(self, "n_min", sample_size(alpha, epsilon, delta, lam))
 
-    def to_dict(self) -> dict:
-        return {
-            "alpha": self.alpha,
-            "epsilon": self.epsilon,
-            "delta": self.delta,
-            "lambda": self.lam,
-            "alpha_n": self.alpha_n,
-            "n_min": self.n_min,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "CalibrationSpec":
-        if not isinstance(data, dict):
-            raise ValueError("calibration spec must be a JSON object")
-        try:
-            return cls(
-                alpha=float(data["alpha"]),
-                epsilon=float(data["epsilon"]),
-                delta=float(data["delta"]),
-                lam=data.get("lambda", "optimal"),
-                alpha_n=data.get("alpha_n"),
-            )
-        except KeyError as exc:
-            raise ValueError(f"calibration dict is missing key {exc}") from exc
-
 
 def calibrate_radius(
     centers,

@@ -83,47 +83,85 @@ _NUMBER = ("a number", _is_number)
 _INT = ("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool))
 _STR = ("a string", lambda v: isinstance(v, str))
 _BOOL = ("true or false", lambda v: isinstance(v, bool))
+_LAMBDA = ('a number or "optimal"', lambda v: _is_number(v) or isinstance(v, str))
+_BBOX = (
+    "a list of four numbers",
+    lambda v: isinstance(v, list) and len(v) == 4 and all(map(_is_number, v)),
+)
 
-# The JSON type each config-file key must have.  Flags are typed by argparse;
-# a key whose default is None may also be null.
-_CONFIG_TYPES = {
-    "alpha": _NUMBER,
-    "epsilon": _NUMBER,
-    "delta": _NUMBER,
-    "lambda": ('a number or "optimal"', lambda v: _is_number(v) or isinstance(v, str)),
-    "norm": _STR,
-    "seed": _INT,
-    "strict": _BOOL,
-    "mixture": _STR,
-    "m": _INT,
-    "shape_csv": _STR,
-    "n": _INT,
-    "train_csv": _STR,
-    "trials": _INT,
-    "coverage_samples": _INT,
-    "resolution": _INT,
-    "bbox": (
-        "a list of four numbers",
-        lambda v: isinstance(v, list) and len(v) == 4 and all(map(_is_number, v)),
+# Every setting once: its default, the JSON type a config file must give it
+# (a setting whose default is None may also be null), its flag, and the
+# flag's argparse keywords.  Flags default to None, meaning "not given".
+_SETTINGS = {
+    "alpha": (0.9, _NUMBER, "--alpha", dict(type=float, help="target probability mass")),
+    "epsilon": (0.05, _NUMBER, "--eps", dict(type=float, help="mass overshoot tolerance")),
+    "delta": (0.05, _NUMBER, "--delta", dict(type=float, help="failure probability budget")),
+    "lambda": (
+        "optimal",
+        _LAMBDA,
+        "--lambda",
+        dict(metavar="VALUE", help='quantile mixing weight in (0, 1), or "optimal"'),
     ),
-    "model": _STR,
-    "bundled_example": _BOOL,
+    "norm": ("l2", _STR, "--norm", dict(choices=_NORM_NAMES)),
+    "seed": (0, _INT, "--seed", dict(type=int, help="base seed for all randomness")),
+    "mixture": (
+        None, _STR, "--mixture", dict(help="bundled mixture name (isotropic, peaked, fourmode)")
+    ),
+    "m": (None, _INT, "--m", dict(type=int, help="number of shape-sample centers")),
+    "shape_csv": (None, _STR, "--shape-csv", dict(help="headerless CSV of centers")),
+    "n": (None, _INT, "--n", dict(type=int, help="generated training-sample size")),
+    "train_csv": (None, _STR, "--train-csv", dict(help="headerless CSV of training points")),
+    "strict": (
+        True,
+        _BOOL,
+        "--strict",
+        dict(action="store_true", help="refuse training samples below n_min (default)"),
+    ),
+    "trials": (200, _INT, "--trials", dict(type=int, help="number of recalibration trials")),
+    "coverage_samples": (
+        100_000, _INT, "--mc-samples", dict(type=int, help="coverage draws per trial")
+    ),
+    "resolution": (128, _INT, "--resolution", dict(type=int, help="pixels per axis")),
+    "bbox": (
+        None,
+        _BBOX,
+        "--bbox",
+        dict(
+            type=float,
+            nargs=4,
+            metavar=("XMIN", "XMAX", "YMIN", "YMAX"),
+            help="raster window (default: centers padded by three radii)",
+        ),
+    ),
+    "model": (None, _STR, "--model", dict(help="model JSON file")),
+    "bundled_example": (
+        False,
+        _BOOL,
+        "--bundled-example",
+        dict(action="store_true", help="solve the built-in two-variable demo"),
+    ),
 }
 
+# The one flag that shares a setting: --advisory, beside --strict, turns it off.
+_ADVISORY = dict(dest="strict", action="store_false", help="warn instead of failing below n_min")
 
-def _resolve_config(defaults: dict, args) -> dict:
+_LEVEL = ("alpha", "epsilon", "delta", "lambda")
+_SOURCES = ("norm", "seed", "mixture", "m", "shape_csv", "n", "train_csv", "strict")
+
+
+def _resolve_config(args) -> dict:
     """defaults, overlaid by the --config file, overlaid by explicit flags."""
-    config = dict(defaults)
-    if getattr(args, "config", None) is not None:
+    config = {key: _SETTINGS[key][0] for key in _COMMANDS[args.command][2]}
+    if args.config is not None:
         for key, value in _load_config(args.config, args.command).items():
-            if key not in defaults:
+            if key not in config:
                 raise ValueError(f"unknown config key {key!r} for {args.command}")
-            kind, accepts = _CONFIG_TYPES[key]
-            if not (accepts(value) or (value is None and defaults[key] is None)):
+            default, (kind, accepts), _, _ = _SETTINGS[key]
+            if not (accepts(value) or (value is None and default is None)):
                 raise ValueError(f"config key {key!r} must be {kind}, got {value!r}")
             config[key] = value
-    for key in defaults:
-        value = getattr(args, key, None)
+    for key in config:
+        value = getattr(args, key)
         if value is not None:
             config[key] = value
     return config
@@ -162,20 +200,18 @@ def _positive_int(config: dict, key: str) -> int:
 
 
 def _out_dir(args) -> Path:
-    out = Path(getattr(args, "out_dir", None) or ".")
+    out = Path(args.out_dir or ".")
     out.mkdir(parents=True, exist_ok=True)
     return out
 
 
-def _write_manifest(
-    out: Path, command: str, seed, config: dict, outputs: list[str]
-) -> None:
+def _write_manifest(out: Path, command: str, config: dict, outputs: list[str]) -> None:
     _write_json(
         out / "manifest.json",
         {
             "command": command,
             "version": __version__,
-            "seed": seed,
+            "seed": config.get("seed"),
             "config": config,
             "outputs": sorted(outputs + ["manifest.json"]),
         },
@@ -190,22 +226,6 @@ def _load_csv(path: str) -> np.ndarray:
     if bad.size:
         raise ValueError(f"{path} row {bad[0] + 1} holds a non-finite value")
     return data
-
-
-_SET_DEFAULTS = {
-    "alpha": 0.9,
-    "epsilon": 0.05,
-    "delta": 0.05,
-    "lambda": "optimal",
-    "norm": "l2",
-    "seed": 0,
-    "strict": True,
-    "mixture": None,
-    "m": None,
-    "shape_csv": None,
-    "n": None,
-    "train_csv": None,
-}
 
 
 def _build_set(config: dict):
@@ -252,13 +272,9 @@ def _build_set(config: dict):
     return uset, mixture
 
 
-def _cmd_samplesize(args) -> int:
-    defaults = {"alpha": 0.9, "epsilon": 0.05, "delta": 0.05, "lambda": "optimal"}
-    config = _resolve_config(defaults, args)
+def _cmd_samplesize(config: dict, args) -> int:
     spec = _resolve_lambda(config)
-    under, over = chernoff_violation_bounds(
-        spec.n_min, spec.alpha, spec.epsilon, spec.alpha_n
-    )
+    under, over = chernoff_violation_bounds(spec.n_min, spec.alpha, spec.epsilon, spec.alpha_n)
     _print_json(
         {
             "alpha": spec.alpha,
@@ -274,31 +290,17 @@ def _cmd_samplesize(args) -> int:
     return 0
 
 
-def _cmd_calibrate(args) -> int:
-    config = _resolve_config(_SET_DEFAULTS, args)
+def _cmd_calibrate(config: dict, args) -> int:
     out = _out_dir(args)
     uset, _ = _build_set(config)
     payload = uset.to_dict()
     _write_json(out / "set.json", payload)
-    _write_manifest(out, "calibrate", config["seed"], config, ["set.json"])
+    _write_manifest(out, "calibrate", config, ["set.json"])
     _print_json(payload)
     return 0
 
 
-def _cmd_coverage(args) -> int:
-    defaults = {
-        "alpha": 0.9,
-        "epsilon": 0.05,
-        "delta": 0.05,
-        "lambda": "optimal",
-        "norm": "l2",
-        "seed": 0,
-        "mixture": None,
-        "m": None,
-        "trials": 200,
-        "coverage_samples": 100_000,
-    }
-    config = _resolve_config(defaults, args)
+def _cmd_coverage(config: dict, args) -> int:
     spec = _resolve_lambda(config)
     if config["mixture"] is None or config["m"] is None:
         raise ValueError("the coverage experiment needs --mixture and --m")
@@ -317,16 +319,12 @@ def _cmd_coverage(args) -> int:
     report.write_csv(out / "coverage.csv")
     summary = report.summary()
     _write_json(out / "summary.json", summary)
-    _write_manifest(
-        out, "coverage", cfg.seed, config, ["coverage.csv", "summary.json"]
-    )
+    _write_manifest(out, "coverage", config, ["coverage.csv", "summary.json"])
     _print_json(summary)
     return 0
 
 
-def _cmd_raster(args) -> int:
-    defaults = dict(_SET_DEFAULTS, resolution=128, bbox=None)
-    config = _resolve_config(defaults, args)
+def _cmd_raster(config: dict, args) -> int:
     out = _out_dir(args)
     uset, mixture = _build_set(config)
     resolution = _positive_int(config, "resolution")
@@ -357,76 +355,46 @@ def _cmd_raster(args) -> int:
         "norm": config["norm"],
     }
     _write_json(out / "raster.json", payload)
-    _write_manifest(out, "raster", config["seed"], config, outputs)
+    _write_manifest(out, "raster", config, outputs)
     _print_json(payload)
     return 0
 
 
-def _cmd_solve(args) -> int:
-    defaults = {"model": None, "bundled_example": False}
-    config = _resolve_config(defaults, args)
+def _cmd_solve(config: dict, args) -> int:
     if config["bundled_example"] == (config["model"] is not None):
         raise ValueError("pass exactly one of --model or --bundled-example")
     if config["bundled_example"]:
         model = bundled_example()
     else:
-        model = RobustLinearProgram.from_dict(
-            json.loads(Path(config["model"]).read_text())
-        )
+        model = RobustLinearProgram.from_dict(json.loads(Path(config["model"]).read_text()))
     report = solve_robust(model)
     payload = report.to_dict()
     out = _out_dir(args)
     _write_json(out / "report.json", payload)
-    _write_manifest(out, "solve", None, config, ["report.json"])
+    _write_manifest(out, "solve", config, ["report.json"])
     _print_json(payload)
     return 0 if report.status is LPStatus.OPTIMAL else 4
 
 
-def _add_level_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--alpha", type=float, help="target probability mass")
-    parser.add_argument(
-        "--eps", type=float, dest="epsilon", help="mass overshoot tolerance"
-    )
-    parser.add_argument("--delta", type=float, help="failure probability budget")
-    parser.add_argument(
-        "--lambda",
-        dest="lambda",
-        metavar="VALUE",
-        help='quantile mixing weight in (0, 1), or "optimal"',
-    )
-
-
-def _add_source_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--norm", choices=_NORM_NAMES)
-    parser.add_argument("--seed", type=int, help="base seed for all randomness")
-    parser.add_argument(
-        "--mixture", help="bundled mixture name (isotropic, peaked, fourmode)"
-    )
-    parser.add_argument("--m", type=int, help="number of shape-sample centers")
-    parser.add_argument("--shape-csv", dest="shape_csv", help="headerless CSV of centers")
-    parser.add_argument("--n", type=int, help="generated training-sample size")
-    parser.add_argument(
-        "--train-csv", dest="train_csv", help="headerless CSV of training points"
-    )
-    mode = parser.add_mutually_exclusive_group()
-    mode.add_argument(
-        "--strict",
-        dest="strict",
-        action="store_true",
-        default=None,
-        help="refuse training samples below n_min (default)",
-    )
-    mode.add_argument(
-        "--advisory",
-        dest="strict",
-        action="store_false",
-        help="warn instead of failing below n_min",
-    )
-
-
-def _add_common_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", help="JSON config or a previous manifest.json")
-    parser.add_argument("--out-dir", dest="out_dir", help="output directory")
+# Each command: its handler, its help line, its settings, and whether it
+# writes files (and so takes --out-dir).
+_COMMANDS = {
+    "samplesize": (_cmd_samplesize, "plan the training-sample size", _LEVEL, False),
+    "calibrate": (_cmd_calibrate, "calibrate one uncertainty set", _LEVEL + _SOURCES, True),
+    "coverage": (
+        _cmd_coverage,
+        "run the coverage-consistency experiment",
+        _LEVEL + ("norm", "seed", "mixture", "m", "trials", "coverage_samples"),
+        True,
+    ),
+    "raster": (
+        _cmd_raster,
+        "rasterize a calibrated set",
+        _LEVEL + _SOURCES + ("resolution", "bbox"),
+        True,
+    ),
+    "solve": (_cmd_solve, "solve a robust linear program", ("model", "bundled_example"), True),
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -435,67 +403,24 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Calibrated union-of-balls uncertainty sets and robust LPs.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("samplesize", help="plan the training-sample size")
-    _add_level_flags(p)
-    _add_common_flags(p)
-    p.set_defaults(handler=_cmd_samplesize)
-
-    p = sub.add_parser("calibrate", help="calibrate one uncertainty set")
-    _add_level_flags(p)
-    _add_source_flags(p)
-    _add_common_flags(p)
-    p.set_defaults(handler=_cmd_calibrate)
-
-    p = sub.add_parser("coverage", help="run the coverage-consistency experiment")
-    _add_level_flags(p)
-    p.add_argument("--norm", choices=_NORM_NAMES)
-    p.add_argument("--seed", type=int, help="base seed for all randomness")
-    p.add_argument("--mixture", help="bundled mixture name")
-    p.add_argument("--m", type=int, help="number of shape-sample centers")
-    p.add_argument("--trials", type=int, help="number of recalibration trials")
-    p.add_argument(
-        "--mc-samples",
-        type=int,
-        dest="coverage_samples",
-        help="coverage draws per trial",
-    )
-    _add_common_flags(p)
-    p.set_defaults(handler=_cmd_coverage)
-
-    p = sub.add_parser("raster", help="rasterize a calibrated set")
-    _add_level_flags(p)
-    _add_source_flags(p)
-    p.add_argument("--resolution", type=int, help="pixels per axis")
-    p.add_argument(
-        "--bbox",
-        type=float,
-        nargs=4,
-        metavar=("XMIN", "XMAX", "YMIN", "YMAX"),
-        help="raster window (default: centers padded by three radii)",
-    )
-    _add_common_flags(p)
-    p.set_defaults(handler=_cmd_raster)
-
-    p = sub.add_parser("solve", help="solve a robust linear program")
-    p.add_argument("--model", help="model JSON file")
-    p.add_argument(
-        "--bundled-example",
-        dest="bundled_example",
-        action="store_true",
-        default=None,
-        help="solve the built-in two-variable demo",
-    )
-    _add_common_flags(p)
-    p.set_defaults(handler=_cmd_solve)
-
+    for command, (_, help_line, keys, writes_files) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_line)
+        for key in keys:
+            _, _, flag, kwargs = _SETTINGS[key]
+            group = p.add_mutually_exclusive_group() if key == "strict" else p
+            group.add_argument(flag, dest=key, default=None, **kwargs)
+            if key == "strict":
+                group.add_argument("--advisory", **_ADVISORY)
+        p.add_argument("--config", help="JSON config or a previous manifest.json")
+        if writes_files:
+            p.add_argument("--out-dir", dest="out_dir", help="output directory")
     return parser
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.handler(args)
+        return _COMMANDS[args.command][0](_resolve_config(args), args)
     except UndersampledError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

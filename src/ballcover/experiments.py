@@ -270,7 +270,9 @@ def run_role_of_m_study(
 
 def _cell_centers(bbox, resolution: int) -> tuple[np.ndarray, np.ndarray]:
     """Cell-center x coordinates (left to right) and y coordinates (top to bottom)."""
-    if not (isinstance(resolution, (int, np.integer)) and resolution >= 1):
+    if isinstance(resolution, bool) or not (
+        isinstance(resolution, (int, np.integer)) and resolution >= 1
+    ):
         raise ValueError(f"resolution must be a positive integer, got {resolution!r}")
     (xmin, xmax), (ymin, ymax) = bbox
     if not np.all(np.isfinite([xmin, xmax, ymin, ymax, xmax - xmin, ymax - ymin])):

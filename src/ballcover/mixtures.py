@@ -60,10 +60,6 @@ class RandomStream:
         key = np.array([self.seed, self.stream_id], dtype=np.uint64)
         return np.random.Generator(np.random.Philox(key=key))
 
-    def child(self, offset: int) -> "RandomStream":
-        """A sibling stream at ``stream_id + offset`` (same seed)."""
-        return RandomStream(self.seed, (self.stream_id + int(offset)) % _UINT64)
-
 
 class GaussianMixture:
     """Finite mixture of multivariate normals.
@@ -195,27 +191,6 @@ class GaussianMixture:
             z = np.linalg.solve(factor, (pts - mean).T)
             out += w * np.exp(log_norm - 0.5 * np.square(z).sum(axis=0))
         return float(out[0]) if single else out
-
-    def to_dict(self) -> dict:
-        return {
-            "weights": [float(w) for w in self._weights],
-            "components": [
-                {"mean": [float(v) for v in mean], "cov": [[float(v) for v in row] for row in cov]}
-                for mean, cov in zip(self._means, self._covariances)
-            ],
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "GaussianMixture":
-        if not isinstance(data, dict):
-            raise ValueError("mixture must be a JSON object")
-        try:
-            weights = data["weights"]
-            means = [comp["mean"] for comp in data["components"]]
-            covs = [comp["cov"] for comp in data["components"]]
-        except KeyError as exc:
-            raise ValueError(f"mixture dict is missing key {exc}") from exc
-        return cls(weights, means, covs)
 
 
 def bundled_mixture(name: str) -> GaussianMixture:

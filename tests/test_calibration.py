@@ -249,19 +249,6 @@ class TestCalibrationSpec:
         with pytest.raises(ValueError):
             CalibrationSpec(0.9, 0.05, 0.05, lam=0.3, alpha_n=0.96)
 
-    def test_json_round_trip(self):
-        spec = CalibrationSpec.from_dict(
-            {"alpha": 0.9, "epsilon": 0.05, "delta": 0.05, "lambda": "optimal"}
-        )
-        data = spec.to_dict()
-        assert isinstance(data["lambda"], float)
-        again = CalibrationSpec.from_dict(data)
-        assert again == spec
-
-    def test_from_dict_non_object(self):
-        with pytest.raises(ValueError, match="JSON object"):
-            CalibrationSpec.from_dict([0.9, 0.05, 0.05])
-
     def test_bad_lambda_string(self):
         with pytest.raises(ValueError):
             CalibrationSpec(0.9, 0.05, 0.05, lam="auto")

@@ -56,6 +56,14 @@ class TestSamplesize:
         assert main(["samplesize", "--lambda", "frog"]) == 2
         assert capsys.readouterr().err.startswith("error:")
 
+    def test_out_dir_is_rejected(self, tmp_path, capsys):
+        # samplesize writes no file, so --out-dir is an unknown flag.
+        with pytest.raises(SystemExit) as exc:
+            main(["samplesize", "--out-dir", str(tmp_path / "out")])
+        assert exc.value.code == 2
+        assert "--out-dir" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
 
 class TestCalibrate:
     def test_writes_set_and_manifest(self, tmp_path, capsys):
@@ -509,6 +517,50 @@ class TestSolve:
         assert report["x_star"] == pytest.approx([1e10], rel=1e-12)
 
 
+LEVEL = ["alpha", "epsilon", "delta", "lambda"]
+SOURCES = ["norm", "seed", "mixture", "m", "shape_csv", "n", "train_csv", "strict"]
+COMMAND_SETTINGS = {
+    "samplesize": LEVEL,
+    "calibrate": LEVEL + SOURCES,
+    "coverage": LEVEL + ["norm", "seed", "mixture", "m", "trials", "coverage_samples"],
+    "raster": LEVEL + SOURCES + ["resolution", "bbox"],
+    "solve": ["model", "bundled_example"],
+}
+# One value of the wrong JSON type for each setting.
+WRONGLY_TYPED = {
+    "alpha": "0.9",
+    "epsilon": None,
+    "delta": [0.05],
+    "lambda": True,
+    "norm": 2,
+    "seed": 1.5,
+    "strict": "no",
+    "mixture": 5,
+    "m": "10",
+    "shape_csv": ["shape.csv"],
+    "n": 50.0,
+    "train_csv": {"path": "train.csv"},
+    "trials": True,
+    "coverage_samples": 1e5,
+    "resolution": "128",
+    "bbox": [-1, 1, -1],
+    "model": False,
+    "bundled_example": 1,
+}
+WRONG_TYPE_CASES = [
+    pytest.param("calibrate", {"mixture": "peaked", "m": 10, "alpha": [1]}, "alpha", id="list-alpha"),
+    pytest.param("calibrate", {"mixture": 5, "m": 10}, "mixture", id="numeric-mixture"),
+    pytest.param(
+        "calibrate", {"mixture": "peaked", "m": 10, "strict": "no"}, "strict", id="string-strict"
+    ),
+] + [
+    pytest.param(command, {key: WRONGLY_TYPED[key]}, key, id=f"{command}-{key}")
+    for command, keys in COMMAND_SETTINGS.items()
+    for key in keys
+    if not (command == "calibrate" and key in ("alpha", "mixture", "strict"))
+]
+
+
 class TestConfigResolution:
     def test_config_file_then_flags(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -532,22 +584,19 @@ class TestConfigResolution:
         assert rc == 2
         assert "calibrate" in capsys.readouterr().err
 
-    @pytest.mark.parametrize(
-        "config, key",
-        [
-            ({"mixture": "peaked", "m": 10, "alpha": [1]}, "alpha"),
-            ({"mixture": 5, "m": 10}, "mixture"),
-            ({"mixture": "peaked", "m": 10, "strict": "no"}, "strict"),
-        ],
-        ids=["list-alpha", "numeric-mixture", "string-strict"],
-    )
-    def test_wrongly_typed_value_exits_2(self, tmp_path, capsys, config, key):
+    @pytest.mark.parametrize("command, config, key", WRONG_TYPE_CASES)
+    def test_wrongly_typed_value_exits_2(self, tmp_path, capsys, command, config, key):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(config))
-        rc = main(["calibrate", "--config", str(cfg), "--out-dir", str(tmp_path)])
-        assert rc == 2
-        assert f"config key {key!r}" in capsys.readouterr().err
-        assert not (tmp_path / "set.json").exists()
+        out = tmp_path / "out"
+        argv = [command, "--config", str(cfg)]
+        if command != "samplesize":
+            argv += ["--out-dir", str(out)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert f"config key {key!r}" in captured.err
+        assert captured.out == ""
+        assert not out.exists()
 
     def test_missing_config_file_exits_2(self, capsys):
         assert main(["samplesize", "--config", "/nonexistent/cfg.json"]) == 2

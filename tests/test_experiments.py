@@ -296,8 +296,9 @@ class TestRasterSet:
         uset = UncertaintySet(centers=[[0.0, 0.0]], radius=1.0, norm=Norm.L2)
         with pytest.raises(ValueError):
             raster_set(uset, ((1.0, -1.0), (-1.0, 1.0)), 4)
-        with pytest.raises(ValueError):
-            raster_set(uset, ((-1.0, 1.0), (-1.0, 1.0)), 0)
+        for resolution in (0, True):
+            with pytest.raises(ValueError, match="resolution"):
+                raster_set(uset, ((-1.0, 1.0), (-1.0, 1.0)), resolution)
         # Non-finite bounds, and finite bounds whose side length overflows.
         for bbox in [
             ((0.0, math.inf), (0.0, 1.0)),

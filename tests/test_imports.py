@@ -38,6 +38,7 @@ from ballcover import cli
 with contextlib.redirect_stdout(io.StringIO()), tempfile.TemporaryDirectory() as tmp:
     codes = [
         cli.main(["samplesize"]),
+        cli.main(["calibrate", "--mixture", "peaked", "--m", "10", "--out-dir", tmp]),
         cli.main(["solve", "--bundled-example", "--out-dir", tmp]),
         cli.main(
             ["raster", "--mixture", "fourmode", "--m", "50", "--resolution", "16", "--out-dir", tmp]
@@ -54,7 +55,7 @@ def test_cli_commands_load_no_scipy():
         [sys.executable, "-c", SCRIPT], capture_output=True, text=True, check=True
     )
     result = json.loads(proc.stdout)
-    assert result["codes"] == [0, 0, 0]
+    assert result["codes"] == [0, 0, 0, 0]
     assert result["scipy"] == []
     assert result["futures"] == []
 

@@ -261,10 +261,6 @@ class TestRandomStream:
         assert not np.array_equal(a, b)
         assert not np.array_equal(a, c)
 
-    def test_child_offsets(self):
-        s = RandomStream(4, 10)
-        assert s.child(3) == RandomStream(4, 13)
-
     def test_negative_ids_wrap(self):
         s = RandomStream(-1, 0)
         assert s.seed == 2**64 - 1
@@ -346,18 +342,3 @@ class TestBundledMixtures:
     def test_unknown_name(self):
         with pytest.raises(ValueError):
             bundled_mixture("ring")
-
-    def test_json_round_trip(self):
-        mix = bundled_mixture("peaked")
-        again = GaussianMixture.from_dict(mix.to_dict())
-        np.testing.assert_array_equal(again.weights, mix.weights)
-        np.testing.assert_array_equal(again.means, mix.means)
-        np.testing.assert_array_equal(again.covariances, mix.covariances)
-
-    def test_from_dict_missing_key(self):
-        with pytest.raises(ValueError):
-            GaussianMixture.from_dict({"weights": [1.0]})
-
-    def test_from_dict_non_object(self):
-        with pytest.raises(ValueError, match="JSON object"):
-            GaussianMixture.from_dict("peaked")
