@@ -48,6 +48,15 @@ def _workers() -> int:
         return os.cpu_count() or 1
 
 
+def _check_count(name: str, value, *, zero_ok: bool = False) -> None:
+    """Reject a count that is a ``bool``, not an integer, or below 1 (0 if ``zero_ok``)."""
+    if isinstance(value, bool) or not (
+        isinstance(value, (int, np.integer)) and value >= (0 if zero_ok else 1)
+    ):
+        kind = "non-negative" if zero_ok else "positive"
+        raise ValueError(f"{name} must be a {kind} integer, got {value!r}")
+
+
 def _count_hits(uset: UncertaintySet, draws: np.ndarray, piece: int) -> int:
     """Number of rows of ``draws`` inside the set, scored ``piece`` rows at a time."""
     return sum(
@@ -61,31 +70,37 @@ def estimate_coverage(
 ) -> float:
     """Fraction of ``n_samples`` i.i.d. draws from ``mix`` inside the set.
 
-    The draws are split into one contiguous share per CPU the process may
-    run on; the calling thread scores the first share and a pool opened for
-    this call scores the rest (numpy releases the GIL inside the kernel).
-    Each share is scored in pieces of ``_CHUNK_BUDGET // (m * d * workers)``
-    rows, with at most ``_CHUNK_BUDGET // (m * d)`` shares so that a piece
-    keeps at least one row: the kernel blocks in flight together stay within
-    one budget.  Every row gets the same
-    :func:`~ballcover.geometry.member_batch` arithmetic and the hit counts
-    are integers, so the estimate does not depend on the number of CPUs.
+    The draws are streamed: the sampler writes each block of rows into one
+    reused buffer (see :meth:`GaussianMixture._blocks
+    <ballcover.mixtures.GaussianMixture._blocks>`), so beyond one label per
+    draw the memory does not grow with ``n_samples``.  Each block is split
+    into one contiguous share per CPU the process may run on; the calling
+    thread scores the first share and a pool opened for this call scores
+    the rest (numpy releases the GIL inside the kernel).  Each share is
+    scored in pieces of ``_CHUNK_BUDGET // (m * d * workers)`` rows, with at
+    most ``_CHUNK_BUDGET // (m * d)`` shares so that a piece keeps at least
+    one row: the kernel blocks in flight together stay within one budget.
+    Every row gets the same :func:`~ballcover.geometry.member_batch`
+    arithmetic, the draws equal ``mix.sample(stream, n_samples)`` and the
+    hit counts are integers, so the estimate does not depend on the number
+    of CPUs.
     """
-    if n_samples < 1:
-        raise ValueError(f"n_samples must be >= 1, got {n_samples}")
-    draws = mix.sample(stream, n_samples)
+    _check_count("n_samples", n_samples)
     row = uset.num_balls * uset.dimension
     workers = max(1, min(_workers(), n_samples, _CHUNK_BUDGET // row))
     piece = max(1, _CHUNK_BUDGET // (row * workers))
     # Imported here so that commands which never estimate coverage skip it.
     from concurrent.futures import ThreadPoolExecutor
 
-    first, *rest = np.array_split(draws, workers)
+    hits = 0
     # The pool starts a thread per submitted share only, so one CPU starts none.
     with ThreadPoolExecutor(workers) as pool:
-        futures = [pool.submit(_count_hits, uset, share, piece) for share in rest]
-        hits = _count_hits(uset, first, piece)
-        hits += sum(future.result() for future in futures)
+        for block in mix._blocks(stream, n_samples):
+            first, *rest = np.array_split(block, workers)
+            futures = [pool.submit(_count_hits, uset, share, piece) for share in rest]
+            hits += _count_hits(uset, first, piece)
+            # Every share is scored before the sampler reuses the buffer.
+            hits += sum(future.result() for future in futures)
     return float(hits) / float(n_samples)
 
 
@@ -115,11 +130,7 @@ class ConsistencyConfig:
         if not isinstance(self.norm, Norm):
             raise TypeError(f"norm must be a Norm, got {self.norm!r}")
         for name in ("num_centers", "trials", "coverage_samples"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not (
-                isinstance(value, (int, np.integer)) and value >= 1
-            ):
-                raise ValueError(f"{name} must be a positive integer, got {value!r}")
+            _check_count(name, getattr(self, name))
 
 
 @dataclass(frozen=True)
@@ -233,14 +244,12 @@ def run_role_of_m_study(
     volume estimate on the centers +- 3 radii bounding box (stream 3j+2,
     hit fraction times box volume; the estimator standard error is
     box_volume * sqrt(p(1-p)/volume_samples)).  For 2-D mixtures each
-    entry also carries a raster of the set on that box.
+    entry also carries a raster of the set on that box, unless
+    ``raster_resolution`` is 0.  Both counts are checked before any m is
+    sampled.
     """
-    if isinstance(volume_samples, bool) or not (
-        isinstance(volume_samples, (int, np.integer)) and volume_samples >= 1
-    ):
-        raise ValueError(
-            f"volume_samples must be a positive integer, got {volume_samples!r}"
-        )
+    _check_count("volume_samples", volume_samples)
+    _check_count("raster_resolution", raster_resolution, zero_ok=True)
     entries = []
     for j, m in enumerate(m_values):
         shape = mixture.sample(RandomStream(seed, 3 * j), int(m))
@@ -270,10 +279,7 @@ def run_role_of_m_study(
 
 def _cell_centers(bbox, resolution: int) -> tuple[np.ndarray, np.ndarray]:
     """Cell-center x coordinates (left to right) and y coordinates (top to bottom)."""
-    if isinstance(resolution, bool) or not (
-        isinstance(resolution, (int, np.integer)) and resolution >= 1
-    ):
-        raise ValueError(f"resolution must be a positive integer, got {resolution!r}")
+    _check_count("resolution", resolution)
     (xmin, xmax), (ymin, ymax) = bbox
     if not np.all(np.isfinite([xmin, xmax, ymin, ymax, xmax - xmin, ymax - ymin])):
         raise ValueError(f"bbox bounds and side lengths must be finite, got {bbox!r}")

@@ -31,10 +31,10 @@ __all__ = [
     "worst_case_linear",
 ]
 
-# Floats per pairwise-distance block: 64K floats (512 KB), so a block, its
-# abs/square temporary and its row sums stay in one core's L2 cache.  A block
-# holds at least one row, so a single row wider than the budget (m * d above
-# it) still makes one block.
+# Floats per pairwise-distance block: 64K floats (512 KB), so a block (squared
+# or made absolute in place) and its row sums stay in one core's L2 cache.  A
+# block holds at least one row, so a single row wider than the budget (m * d
+# above it) still makes one block.
 _CHUNK_BUDGET = 65_536
 
 
@@ -77,22 +77,24 @@ def _matrix(points, name: str = "points") -> np.ndarray:
 
 
 def _reduce(diffs: np.ndarray, norm: Norm) -> np.ndarray:
-    # Norm along the last axis of a difference array.
-    if norm is Norm.L1:
-        return np.abs(diffs).sum(axis=-1)
+    # Norm along the last axis of an (..., d) difference array with at least
+    # two axes.  ``diffs`` is overwritten with its squares or absolute values,
+    # so callers hand over an array of their own.
     if norm is Norm.L2:
-        return np.sqrt(np.square(diffs).sum(axis=-1))
-    return np.abs(diffs).max(axis=-1)
+        sums = np.square(diffs, out=diffs).sum(axis=-1)
+        return np.sqrt(sums, out=sums)
+    np.abs(diffs, out=diffs)
+    return diffs.sum(axis=-1) if norm is Norm.L1 else diffs.max(axis=-1)
 
 
 def norm_eval(x, norm: Norm) -> float:
     """Evaluate ||x||_p for p in {1, 2, inf}."""
-    return float(_reduce(_vector(x), norm))
+    return float(_reduce(np.array(_vector(x), ndmin=2), norm)[0])
 
 
 def dual_norm_eval(x, norm: Norm) -> float:
     """Evaluate the dual norm of ``norm`` at x (L1 <-> LINF, L2 self-dual)."""
-    return float(_reduce(_vector(x), norm.dual))
+    return norm_eval(x, norm.dual)
 
 
 def dual_achieving_direction(x, norm: Norm) -> np.ndarray:
@@ -132,8 +134,10 @@ def shape_values(centers, norm: Norm, points) -> np.ndarray:
 
     Points are scored in blocks whose ``(rows, m, d)`` difference array
     holds at most ``_CHUNK_BUDGET`` floats (at least one row), so the
-    scratch memory does not grow with n.  Each pair's arithmetic is the
-    same in every block, so the result does not depend on the block size.
+    scratch memory does not grow with n.  Each block is reduced in place
+    and its minima are written straight into the output.  Each pair's
+    arithmetic is the same in every block, so the result does not depend
+    on the block size.
     """
     centers = _matrix(centers, "centers")
     points = _matrix(points, "points")
@@ -148,7 +152,7 @@ def shape_values(centers, norm: Norm, points) -> np.ndarray:
     for start in range(0, points.shape[0], chunk):
         block = points[start : start + chunk]
         diffs = block[:, np.newaxis, :] - centers[np.newaxis, :, :]
-        out[start : start + block.shape[0]] = _reduce(diffs, norm).min(axis=1)
+        _reduce(diffs, norm).min(axis=1, out=out[start : start + block.shape[0]])
     return out
 
 

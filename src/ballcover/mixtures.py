@@ -142,37 +142,59 @@ class GaussianMixture:
     def sample(self, stream: RandomStream, n: int) -> np.ndarray:
         """Draw n i.i.d. points: weighted component choice, then mean + L z.
 
-        The standard normals are transformed in place, one block of rows at
-        a time and, within a block, one component's rows at a time.  A block
-        has ``_CHUNK_BUDGET // (2 * d + 1)`` rows, so its gathered rows, their
-        transform and their row indices fit one budget; beyond the output
-        the scratch memory is the n component labels plus one block, and no
-        (n, d, d) copy of the factors is made.  Each point goes through the
-        same products and sums as ``means[comp] + einsum("nij,nj->ni",
-        factors[comp], z)``, so the draws are identical to that formula's.
+        Each block of :meth:`_blocks` is written into its own rows of the
+        output, so beyond the output the scratch memory is one label per
+        draw plus one block, and no (n, d, d) copy of the factors is made.
         """
         if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
             raise TypeError(f"n must be an integer, got {type(n).__name__}")
         if n < 0:
             raise ValueError(f"n must be >= 0, got {n}")
+        out = np.empty((n, self.dimension))
+        for _ in self._blocks(stream, n, out):
+            pass
+        return out
+
+    def _blocks(self, stream: RandomStream, n: int, out: np.ndarray | None = None):
+        """Yield the n draws of ``stream`` one block of rows at a time.
+
+        All n component labels are drawn first, by ``rng.choice`` one block
+        at a time (that consumes the stream exactly as one call does) into
+        the narrowest integer type that holds them.  Then each block's
+        standard normals are drawn straight into its rows (block by block,
+        the same bits as one (n, d) call) and transformed in place, one
+        component's rows at a time.  A block has ``_CHUNK_BUDGET // (2 * d
+        + 1)`` rows, so its gathered rows, their transform and their row
+        indices fit one budget.  Each point goes through the same products
+        and sums as ``means[comp] + einsum("nij,nj->ni", factors[comp], z)``.
+
+        Block i is written into its own rows of ``out``, an (n, d) array,
+        when one is given.  Otherwise every block reuses the rows of one
+        buffer, so the caller must be done with a block before it asks for
+        the next.
+        """
         d = self.dimension
-        if n == 0:
-            return np.zeros((0, d))
-        rng = stream.generator()
-        comp = rng.choice(self.num_components, size=n, p=self._weights)
-        z = rng.standard_normal((n, d))
         block = max(1, _CHUNK_BUDGET // (2 * d + 1))
+        rng = stream.generator()
+        comp = np.empty(n, dtype=np.min_scalar_type(self.num_components - 1))
         for start in range(0, n, block):
             labels = comp[start : start + block]
-            z_block = z[start : start + block]
+            labels[:] = rng.choice(self.num_components, size=labels.size, p=self._weights)
+        reuse = out is None
+        if reuse:
+            out = np.empty((min(n, block), d))
+        for start in range(0, n, block):
+            labels = comp[start : start + block]
+            first = 0 if reuse else start
+            z = rng.standard_normal(out=out[first : first + labels.size])
             # The components' row sets are disjoint, so each write touches
             # only rows that no other component reads.
             for k, (mean, factor) in enumerate(zip(self._means, self._factors)):
                 rows = np.flatnonzero(labels == k)
-                points = np.einsum("ij,nj->ni", factor, z_block.take(rows, axis=0))
+                points = np.einsum("ij,nj->ni", factor, z.take(rows, axis=0))
                 points += mean
-                z_block[rows] = points
-        return z
+                z[rows] = points
+            yield z
 
     def density(self, u) -> float | np.ndarray:
         """Mixture pdf at one point (d,) or a batch (n, d)."""

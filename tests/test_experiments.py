@@ -2,6 +2,7 @@
 
 import math
 import threading
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -87,6 +88,35 @@ class TestEstimateCoverage:
         uset = UncertaintySet(centers=[[0.0, 0.0]], radius=1.0, norm=Norm.L2)
         with pytest.raises(ValueError):
             estimate_coverage(uset, standard_normal_2d(), 0, RandomStream(1, 0))
+
+    @pytest.mark.parametrize("n_samples", [-3, True, 2.5, "3", np.float64(4.0)])
+    def test_n_samples_must_be_a_positive_integer(self, n_samples):
+        uset = UncertaintySet(centers=[[0.0, 0.0]], radius=1.0, norm=Norm.L2)
+        with pytest.raises(ValueError, match="n_samples"):
+            estimate_coverage(uset, standard_normal_2d(), n_samples, RandomStream(1, 0))
+
+    def test_numpy_integer_n_samples_accepted(self):
+        uset = UncertaintySet(centers=[[0.0, 0.0]], radius=100.0, norm=Norm.L2)
+        assert estimate_coverage(uset, standard_normal_2d(), np.int64(7), RandomStream(1, 0)) == 1.0
+
+    def test_scratch_memory_is_about_one_label_per_draw(self):
+        # The draws are streamed through one reused block, so doubling n adds
+        # only the labels, one byte each for a two-component mixture.  Keeping
+        # all (n, 2) draws and int64 labels would add 24 bytes a draw, and
+        # int64 labels alone 8; the threads' scoring blocks move the peak by
+        # up to about 0.2 MB from run to run.
+        mix = bundled_mixture("peaked")
+        uset = self.median_radius_set(mix, Norm.L2)
+        estimate_coverage(uset, mix, 1_000, RandomStream(1, 1))
+        peaks = []
+        for n in (200_000, 400_000):
+            tracemalloc.start()
+            try:
+                estimate_coverage(uset, mix, n, RandomStream(1, 2))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] <= 4 * 200_000
 
     def test_dimension_mismatch_rejected(self):
         uset = UncertaintySet(centers=[[0.0, 0.0, 0.0]], radius=1.0, norm=Norm.L2)
@@ -518,3 +548,14 @@ class TestRoleOfMStudy:
                 [1],
                 volume_samples=volume_samples,
             )
+
+    @pytest.mark.parametrize("resolution", [-1, True, 2.5, "64"])
+    def test_raster_resolution_is_checked_before_any_sampling(self, monkeypatch, resolution):
+        mix = bundled_mixture("fourmode")
+
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("sampled before the raster resolution was checked")
+
+        monkeypatch.setattr(GaussianMixture, "sample", no_sampling)
+        with pytest.raises(ValueError, match="raster_resolution"):
+            run_role_of_m_study(mix, quick_spec(), [1000, 2000], raster_resolution=resolution)

@@ -54,6 +54,31 @@ class TestNormEval:
                 norm_eval([], norm)
 
 
+class TestInputsAreNotWritten:
+    """The kernels reduce their difference arrays in place, never the caller's."""
+
+    @pytest.mark.parametrize("norm", ALL_NORMS)
+    def test_norms_leave_the_vector_unchanged(self, norm):
+        x = np.array([3.0, -4.0, 0.5, -0.0])
+        before = x.copy()
+        for evaluate in (norm_eval, dual_norm_eval):
+            evaluate(x, norm)
+            np.testing.assert_array_equal(x, before)
+            assert np.signbit(x[3])
+
+    @pytest.mark.parametrize("norm", ALL_NORMS)
+    def test_shape_values_leaves_centers_and_points_unchanged(self, norm):
+        rng = np.random.default_rng(4)
+        centers = rng.normal(size=(5, 3))
+        points = rng.normal(size=(40, 3))
+        inputs = [(centers, points), (centers[:1], points[0]), (points[:1], centers[:1])]
+        for c, p in inputs:
+            saved = (c.copy(), p.copy())
+            shape_values(c, norm, p)
+            np.testing.assert_array_equal(c, saved[0])
+            np.testing.assert_array_equal(p, saved[1])
+
+
 class TestDualNorm:
     def test_dual_pairs(self):
         assert Norm.L1.dual is Norm.LINF

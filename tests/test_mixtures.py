@@ -196,6 +196,21 @@ class TestSampling:
                 mix.sample(stream, n), gather_sample(mix, stream, n)
             )
 
+    @pytest.mark.parametrize(
+        "mix",
+        [bundled_mixture(name) for name in ("isotropic", "peaked", "fourmode")]
+        + [correlated(5, seed=5)],
+        ids=["isotropic", "peaked", "fourmode", "d5"],
+    )
+    def test_sample_equals_the_streamed_blocks(self, mix):
+        # The streamed blocks share one buffer, so each is copied as it comes.
+        block = _CHUNK_BUDGET // (2 * mix.dimension + 1)
+        for n in (1, block - 1, block, block + 1, 100_003):
+            stream = RandomStream(2, n)
+            blocks = [points.copy() for points in mix._blocks(stream, n)]
+            assert max(len(points) for points in blocks) <= block
+            np.testing.assert_array_equal(mix.sample(stream, n), np.concatenate(blocks))
+
     def test_component_without_draws(self):
         mix = GaussianMixture(
             [0.98, 0.01, 0.01], [(0.0, 0.0), (5.0, 5.0), (-5.0, 5.0)],
@@ -223,9 +238,9 @@ class TestSampling:
         ids=["peaked", "fourmode", "d3"],
     )
     def test_scratch_memory_is_the_labels_plus_one_block(self, mix):
-        # Beyond its output the sampler keeps one int64 label per draw and
-        # one block of rows (its gather, transform and row indices fit one
-        # _CHUNK_BUDGET); a gather of all of a component's rows would not.
+        # Beyond its output the sampler keeps one label per draw (at most an
+        # int64) and one block of rows (its gather, transform and row indices
+        # fit one _CHUNK_BUDGET); a gather of all of a component's rows would not.
         n = 200_000
         tracemalloc.start()
         try:
