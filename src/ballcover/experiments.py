@@ -10,7 +10,6 @@ tooling.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -40,14 +39,6 @@ __all__ = [
 ]
 
 
-def _workers() -> int:
-    """Number of CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no CPU affinity on this platform
-        return os.cpu_count() or 1
-
-
 def _check_count(name: str, value, *, zero_ok: bool = False) -> None:
     """Reject a count that is a ``bool``, not an integer, or below 1 (0 if ``zero_ok``)."""
     if isinstance(value, bool) or not (
@@ -57,50 +48,38 @@ def _check_count(name: str, value, *, zero_ok: bool = False) -> None:
         raise ValueError(f"{name} must be a {kind} integer, got {value!r}")
 
 
-def _count_hits(uset: UncertaintySet, draws: np.ndarray, piece: int) -> int:
-    """Number of rows of ``draws`` inside the set, scored ``piece`` rows at a time."""
-    return sum(
-        int(np.count_nonzero(member_batch(uset, draws[start : start + piece])))
-        for start in range(0, draws.shape[0], piece)
-    )
-
-
 def estimate_coverage(
     uset: UncertaintySet, mix: GaussianMixture, n_samples: int, stream: RandomStream
 ) -> float:
     """Fraction of ``n_samples`` i.i.d. draws from ``mix`` inside the set.
 
     The draws are streamed: the sampler writes each block of rows into one
-    reused buffer (see :meth:`GaussianMixture._blocks
+    of two reused buffers (see :meth:`GaussianMixture._blocks
     <ballcover.mixtures.GaussianMixture._blocks>`), so beyond one label per
-    draw the memory does not grow with ``n_samples``.  Each block is split
-    into one contiguous share per CPU the process may run on; the calling
-    thread scores the first share and a pool opened for this call scores
-    the rest (numpy releases the GIL inside the kernel).  Each share is
-    scored in pieces of ``_CHUNK_BUDGET // (m * d * workers)`` rows, with at
-    most ``_CHUNK_BUDGET // (m * d)`` shares so that a piece keeps at least
-    one row: the kernel blocks in flight together stay within one budget.
-    Every row gets the same :func:`~ballcover.geometry.member_batch`
-    arithmetic, the draws equal ``mix.sample(stream, n_samples)`` and the
-    hit counts are integers, so the estimate does not depend on the number
-    of CPUs.
+    draw the memory does not grow with ``n_samples``.  The calling thread
+    draws block i+1 while one worker thread, opened for this call, scores
+    block i with :func:`~ballcover.geometry.member_batch` (numpy releases
+    the GIL inside both).  The draws equal ``mix.sample(stream, n_samples)``
+    and the hit counts are integers, so the estimate is the serial one.
     """
     _check_count("n_samples", n_samples)
-    row = uset.num_balls * uset.dimension
-    workers = max(1, min(_workers(), n_samples, _CHUNK_BUDGET // row))
-    piece = max(1, _CHUNK_BUDGET // (row * workers))
+    if mix.dimension != uset.dimension:
+        raise DimensionError(
+            f"mixture dimension {mix.dimension} does not match set dimension "
+            f"{uset.dimension}"
+        )
     # Imported here so that commands which never estimate coverage skip it.
     from concurrent.futures import ThreadPoolExecutor
 
     hits = 0
-    # The pool starts a thread per submitted share only, so one CPU starts none.
-    with ThreadPoolExecutor(workers) as pool:
+    with ThreadPoolExecutor(1) as scorer:
+        scoring = None
         for block in mix._blocks(stream, n_samples):
-            first, *rest = np.array_split(block, workers)
-            futures = [pool.submit(_count_hits, uset, share, piece) for share in rest]
-            hits += _count_hits(uset, first, piece)
-            # Every share is scored before the sampler reuses the buffer.
-            hits += sum(future.result() for future in futures)
+            scored, scoring = scoring, scorer.submit(member_batch, uset, block)
+            # Block i-1 is scored before the sampler reuses its buffer.
+            if scored is not None:
+                hits += int(np.count_nonzero(scored.result()))
+        hits += int(np.count_nonzero(scoring.result()))
     return float(hits) / float(n_samples)
 
 

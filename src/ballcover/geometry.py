@@ -225,13 +225,46 @@ def member(uset: UncertaintySet, u) -> bool:
     The comparison is a direct float <=, so boundary points are members;
     no tolerance is folded in.
     """
-    u = _vector(u, "u")[np.newaxis, :]
-    return bool(shape_values(uset.centers, uset.norm, u)[0] <= uset.radius)
+    return bool(member_batch(uset, _vector(u, "u")[np.newaxis, :])[0])
 
 
 def member_batch(uset: UncertaintySet, points) -> np.ndarray:
-    """Boolean membership for each row of an (n, d) array."""
-    return shape_values(uset.centers, uset.norm, points) <= uset.radius
+    """Boolean membership for each row of an (n, d) array.
+
+    A point is inside once one ball holds it, so the centers are walked in
+    their stored order and each step tests only the points still outside:
+    with ``left`` of them, a step takes the next ``ceil(m / left)`` centers
+    (at least one point's worth of pairs), capped so that its ``(left, g,
+    d)`` difference array fits ``_CHUNK_BUDGET`` floats.  Points enter in
+    blocks of ``_CHUNK_BUDGET // d`` rows, so the scratch memory does not
+    grow with n or m.  Each pair goes through the arithmetic of
+    :func:`shape_values`, so "some ball has ``dist <= radius``" equals
+    ``shape_values(...) <= radius`` bit for bit; a row with a NaN is never
+    inside.
+    """
+    points = _matrix(points, "points")
+    centers, norm, radius = uset.centers, uset.norm, uset.radius
+    m, d = centers.shape
+    if points.shape[1] != d:
+        raise DimensionError(
+            f"dimension mismatch: set is {d}-D, points are {points.shape[1]}-D"
+        )
+    inside = np.zeros(points.shape[0], dtype=bool)
+    rows = max(1, _CHUNK_BUDGET // d)
+    for first in range(0, points.shape[0], rows):
+        outside = points[first : first + rows]
+        left = np.arange(first, first + outside.shape[0])
+        start = 0
+        while start < m and left.size:
+            g = max(1, min(-(-m // left.size), _CHUNK_BUDGET // (left.size * d)))
+            diffs = outside[:, np.newaxis, :] - centers[np.newaxis, start : start + g, :]
+            hit = (_reduce(diffs, norm) <= radius).any(axis=1)
+            if hit.any():
+                inside[left[hit]] = True
+                miss = np.flatnonzero(~hit)
+                left, outside = left.take(miss), outside.take(miss, axis=0)
+            start += g
+    return inside
 
 
 def worst_case_linear(uset: UncertaintySet, x) -> float:

@@ -169,9 +169,9 @@ class GaussianMixture:
         and sums as ``means[comp] + einsum("nij,nj->ni", factors[comp], z)``.
 
         Block i is written into its own rows of ``out``, an (n, d) array,
-        when one is given.  Otherwise every block reuses the rows of one
-        buffer, so the caller must be done with a block before it asks for
-        the next.
+        when one is given.  Otherwise the blocks alternate between two
+        reused buffers, so a block stays valid until the next-but-one block
+        is requested: the caller may score block i while block i+1 is drawn.
         """
         d = self.dimension
         block = max(1, _CHUNK_BUDGET // (2 * d + 1))
@@ -180,13 +180,11 @@ class GaussianMixture:
         for start in range(0, n, block):
             labels = comp[start : start + block]
             labels[:] = rng.choice(self.num_components, size=labels.size, p=self._weights)
-        reuse = out is None
-        if reuse:
-            out = np.empty((min(n, block), d))
-        for start in range(0, n, block):
+        buffers = None if out is not None else np.empty((2, min(n, block), d))
+        for i, start in enumerate(range(0, n, block)):
             labels = comp[start : start + block]
-            first = 0 if reuse else start
-            z = rng.standard_normal(out=out[first : first + labels.size])
+            target = out[start:] if buffers is None else buffers[i % 2]
+            z = rng.standard_normal(out=target[: labels.size])
             # The components' row sets are disjoint, so each write touches
             # only rows that no other component reads.
             for k, (mean, factor) in enumerate(zip(self._means, self._factors)):

@@ -1,6 +1,7 @@
 """Tests for the Monte-Carlo harnesses and raster helpers."""
 
 import math
+import os
 import threading
 import tracemalloc
 import warnings
@@ -118,7 +119,12 @@ class TestEstimateCoverage:
                 tracemalloc.stop()
         assert peaks[1] - peaks[0] <= 4 * 200_000
 
-    def test_dimension_mismatch_rejected(self):
+    def test_dimension_mismatch_rejected(self, monkeypatch):
+        # Checked before any draw, so the error is not raised by the scorer.
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("sampled before the dimensions were checked")
+
+        monkeypatch.setattr(GaussianMixture, "_blocks", no_sampling)
         uset = UncertaintySet(centers=[[0.0, 0.0, 0.0]], radius=1.0, norm=Norm.L2)
         with pytest.raises(DimensionError):
             estimate_coverage(uset, standard_normal_2d(), 10, RandomStream(1, 0))
@@ -131,56 +137,76 @@ class TestEstimateCoverage:
 
     @pytest.mark.parametrize("norm", list(Norm))
     @pytest.mark.parametrize(
-        "n", [1, 2, 3, 4, ("piece", -1), ("piece", 0), ("piece", 1), 100_003]
+        "n",
+        [1, 2, 3, 4]
+        + [("blocks", 1, -1), ("blocks", 1, 0), ("blocks", 1, 1), ("blocks", 2, 1)]
+        + [100_003],
     )
     @pytest.mark.parametrize("workers", [1, 2, 3, 5])
     def test_split_matches_the_serial_formula(self, monkeypatch, workers, n, norm):
+        # However many CPUs the process reports, one worker thread scores
+        # every streamed block and the estimate is the serial formula.
+        # ("blocks", j, k) is k draws more than j streamed blocks hold.
         mix = bundled_mixture("peaked")
         uset = self.median_radius_set(mix, norm)
         if isinstance(n, tuple):
-            # Rows per member_batch call; n is above the worker count here.
-            n = max(1, _CHUNK_BUDGET // (uset.num_balls * uset.dimension * workers)) + n[1]
-        monkeypatch.setattr(experiments, "_workers", lambda: workers)
+            n = n[1] * (_CHUNK_BUDGET // (2 * mix.dimension + 1)) + n[2]
+        cpus = set(range(workers))
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: workers)
+        scorers = set()
+
+        def recording_member_batch(uset, points):
+            scorers.add(threading.get_ident())
+            return member_batch(uset, points)
+
+        monkeypatch.setattr(experiments, "member_batch", recording_member_batch)
         threads = threading.active_count()
         value = estimate_coverage(uset, mix, n, RandomStream(8, n))
         assert threading.active_count() == threads
+        assert len(scorers) == 1 and threading.get_ident() not in scorers
         serial = np.count_nonzero(member_batch(uset, mix.sample(RandomStream(8, n), n))) / n
         assert value == serial
 
-    def test_error_on_the_last_share_reaches_the_caller(self, monkeypatch):
+    def test_error_on_the_last_block_reaches_the_caller(self, monkeypatch):
         mix = bundled_mixture("peaked")
         uset = self.median_radius_set(mix, Norm.L2)
-        last_draw = mix.sample(RandomStream(8, 0), 10_000)[-1]
+        n = 2 * (_CHUNK_BUDGET // (2 * mix.dimension + 1)) + 1
+        last_draw = mix.sample(RandomStream(8, 0), n)[-1]
 
         def failing_member_batch(uset, points):
             if np.array_equal(points[-1], last_draw):
-                raise RuntimeError("scoring failed on the last share")
+                raise RuntimeError("scoring failed on the last block")
             return member_batch(uset, points)
 
-        monkeypatch.setattr(experiments, "_workers", lambda: 3)
         monkeypatch.setattr(experiments, "member_batch", failing_member_batch)
-        with pytest.raises(RuntimeError, match="last share"):
-            estimate_coverage(uset, mix, 10_000, RandomStream(8, 0))
+        threads = threading.active_count()
+        with pytest.raises(RuntimeError, match="last block"):
+            estimate_coverage(uset, mix, n, RandomStream(8, 0))
+        assert threading.active_count() == threads
 
     @pytest.mark.parametrize("m", [10_000, 20_000])
-    def test_many_centers_cap_the_shares_to_one_block(self, monkeypatch, m):
-        # m * d = 20_000 leaves room for 3 one-row pieces, 40_000 for one.
-        mix = bundled_mixture("peaked")
-        uset = UncertaintySet(centers=mix.sample(RandomStream(3, 0), m), radius=0.5, norm=Norm.L2)
-        calls = []
-
-        def recording_member_batch(uset, points):
-            calls.append((threading.get_ident(), points.shape[0]))
-            return member_batch(uset, points)
-
-        monkeypatch.setattr(experiments, "_workers", lambda: 5)
-        monkeypatch.setattr(experiments, "member_batch", recording_member_batch)
-        value = estimate_coverage(uset, mix, 12, RandomStream(8, 0))
-        threads = {ident for ident, _ in calls}
-        rows = max(size for _, size in calls)
-        assert len(threads) * rows * m * 2 <= _CHUNK_BUDGET
-        serial = np.count_nonzero(member_batch(uset, mix.sample(RandomStream(8, 0), 12))) / 12
-        assert value == serial
+    def test_many_centers_keep_the_scratch_to_a_few_blocks(self, m):
+        # In 8-D one point's pairs, m * d, are 80K or 160K floats, more than
+        # one _CHUNK_BUDGET block, so the budget caps each step's centers.
+        mix = GaussianMixture([1.0], [np.zeros(8)], [np.eye(8)])
+        centers = mix.sample(RandomStream(3, 0), m)
+        radius = np.median(shape_values(centers, Norm.L2, mix.sample(RandomStream(3, 1), 100)))
+        uset = UncertaintySet(centers=centers, radius=float(radius), norm=Norm.L2)
+        for n in (12, 2_000):
+            draws = mix.sample(RandomStream(8, n), n)
+            tracemalloc.start()
+            try:
+                inside = member_batch(uset, draws)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 4 * 8 * _CHUNK_BUDGET
+            np.testing.assert_array_equal(
+                inside, shape_values(uset.centers, uset.norm, draws) <= uset.radius
+            )
+            value = estimate_coverage(uset, mix, n, RandomStream(8, n))
+            assert value == np.count_nonzero(inside) / n
 
 
 class TestConsistencyExperiment:

@@ -4,6 +4,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ballcover import geometry
 from ballcover.geometry import (
@@ -186,12 +188,20 @@ class TestBlocks:
         centers = rng.normal(size=(m, d))
         points = rng.normal(size=(1009 if m < 1000 else 211, d))
         for norm in ALL_NORMS:
-            results = []
+            radius = float(np.median(shape_values(centers, norm, points)))
+            uset = UncertaintySet(centers, radius, norm)
+            results, memberships = [], []
             for budget in (1, 7, 4096, 65_536, 1_000_000):
                 monkeypatch.setattr(geometry, "_CHUNK_BUDGET", budget)
                 results.append(shape_values(centers, norm, points))
+                # At m = 1000 the small budgets score a pair or so a step,
+                # which takes seconds; the other m values cover the steps.
+                if m < 1000:
+                    memberships.append(member_batch(uset, points))
             for result in results[1:]:
                 np.testing.assert_array_equal(result, results[0])
+            for inside in memberships:
+                np.testing.assert_array_equal(inside, results[0] <= radius)
 
     def test_scratch_memory_does_not_grow_with_the_sample(self):
         # 20k points against 1000 centers are 40M floats (320 MB) of
@@ -206,6 +216,52 @@ class TestBlocks:
         finally:
             tracemalloc.stop()
         assert peak < 4 * 2**20
+
+
+@st.composite
+def sets_and_points(draw):
+    """A set whose radius is one point's own score, plus points with NaN rows.
+
+    The radius is the rank-k score, as calibration takes it, so at least one
+    point lies exactly on the radius; centers may repeat.
+    """
+    norm = draw(st.sampled_from(ALL_NORMS))
+    d = draw(st.integers(1, 20))
+    m = draw(st.integers(1, 300))
+    n = draw(st.integers(1, 200))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    centers = rng.normal(size=(m, d))
+    if draw(st.booleans()):
+        centers = centers[rng.integers(0, m, size=m)]
+    points = rng.normal(scale=draw(st.sampled_from([0.5, 2.0])), size=(n, d))
+    scores = shape_values(centers, norm, points)
+    radius = float(np.sort(scores)[draw(st.integers(0, n - 1))])
+    nan_rows = draw(st.lists(st.integers(0, n - 1), max_size=3))
+    points[nan_rows, rng.integers(0, d, size=len(nan_rows))] = np.nan
+    return UncertaintySet(centers, radius, norm), points
+
+
+class TestMemberBatchProperties:
+    """The early-exit membership test is the nearest-center threshold, bit for bit."""
+
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(sets_and_points())
+    def test_equals_the_shape_threshold(self, case):
+        uset, points = case
+        expected = shape_values(uset.centers, uset.norm, points) <= uset.radius
+        inside = member_batch(uset, points)
+        np.testing.assert_array_equal(inside, expected)
+        assert not np.any(inside[np.isnan(points).any(axis=1)])
+        # A 1-D point is one row, through both entry points.
+        assert member_batch(uset, points[0]).tolist() == [expected[0]]
+        assert member(uset, points[0]) is bool(expected[0])
+
+    def test_dimension_mismatch(self):
+        uset = UncertaintySet([(0.0, 0.0)], 1.0, Norm.L2)
+        with pytest.raises(DimensionError):
+            member_batch(uset, np.zeros((3, 4)))
+        with pytest.raises(DimensionError):
+            member(uset, (1.0, 2.0, 3.0))
 
 
 class TestUncertaintySet:

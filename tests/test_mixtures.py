@@ -203,13 +203,29 @@ class TestSampling:
         ids=["isotropic", "peaked", "fourmode", "d5"],
     )
     def test_sample_equals_the_streamed_blocks(self, mix):
-        # The streamed blocks share one buffer, so each is copied as it comes.
+        # The streamed blocks reuse two buffers, so each is copied as it comes.
         block = _CHUNK_BUDGET // (2 * mix.dimension + 1)
         for n in (1, block - 1, block, block + 1, 100_003):
             stream = RandomStream(2, n)
             blocks = [points.copy() for points in mix._blocks(stream, n)]
             assert max(len(points) for points in blocks) <= block
             np.testing.assert_array_equal(mix.sample(stream, n), np.concatenate(blocks))
+
+    def test_blocks_alternate_between_two_buffers(self):
+        # Block i stays valid while block i+1 is drawn and is overwritten by
+        # block i+2, so a caller can score one block while the next is drawn.
+        mix = bundled_mixture("peaked")
+        block = _CHUNK_BUDGET // (2 * mix.dimension + 1)
+        blocks, copies = [], []
+        for points in mix._blocks(RandomStream(2, 0), 4 * block + 1):
+            if blocks:
+                assert not np.shares_memory(points, blocks[-1])
+                np.testing.assert_array_equal(blocks[-1], copies[-1])
+            if len(blocks) >= 2:
+                assert np.shares_memory(points, blocks[-2])
+            blocks.append(points)
+            copies.append(points.copy())
+        assert len(blocks) == 5
 
     def test_component_without_draws(self):
         mix = GaussianMixture(
