@@ -178,15 +178,8 @@ class CalibrationSpec:
                 raise ValueError(f'lambda must be a number or "optimal", got {lam!r}')
             lam = optimal_lambda(alpha, epsilon)
         lam = _check_range("lambda", lam, 0.0, 1.0)
-        alpha_n = self.alpha_n
-        if alpha_n is None:
-            alpha_n = alpha + lam * epsilon
-        alpha_n = float(alpha_n)
-        if not alpha < alpha_n < alpha + epsilon:
-            raise ValueError(
-                f"alpha_n must lie strictly between alpha={alpha} and "
-                f"alpha+epsilon={alpha + epsilon}, got {alpha_n}"
-            )
+        alpha_n = alpha + lam * epsilon if self.alpha_n is None else self.alpha_n
+        alpha_n = _check_level(alpha, epsilon, alpha_n)
         object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "epsilon", epsilon)
         object.__setattr__(self, "delta", delta)
@@ -234,18 +227,23 @@ def calibrate_radius(
     return UncertaintySet(np.asarray(centers, dtype=float), radius, norm)
 
 
-def _check_level_hypothesis(n, alpha, epsilon, alpha_n):
-    if isinstance(n, bool) or not (isinstance(n, (int, np.integer)) and n >= 1):
-        raise ValueError(f"n must be a positive integer, got {n!r}")
-    alpha = _check_range("alpha", alpha, 0.0, 1.0)
-    epsilon = _check_range("epsilon", epsilon, 0.0, 1.0 - alpha)
+def _check_level(alpha: float, epsilon: float, alpha_n) -> float:
+    """``alpha_n`` as a float, checked to lie strictly in (alpha, alpha+epsilon)."""
     alpha_n = float(alpha_n)
     if not alpha < alpha_n < alpha + epsilon:
         raise ValueError(
             f"alpha_n must lie strictly in (alpha, alpha+epsilon) = "
             f"({alpha}, {alpha + epsilon}), got {alpha_n}"
         )
-    return int(n), alpha, epsilon, alpha_n
+    return alpha_n
+
+
+def _check_level_hypothesis(n, alpha, epsilon, alpha_n):
+    if isinstance(n, bool) or not (isinstance(n, (int, np.integer)) and n >= 1):
+        raise ValueError(f"n must be a positive integer, got {n!r}")
+    alpha = _check_range("alpha", alpha, 0.0, 1.0)
+    epsilon = _check_range("epsilon", epsilon, 0.0, 1.0 - alpha)
+    return int(n), alpha, epsilon, _check_level(alpha, epsilon, alpha_n)
 
 
 def chernoff_violation_bounds(

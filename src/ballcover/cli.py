@@ -7,9 +7,10 @@ file-writing command drops a ``manifest.json`` beside its outputs that
 records the fully resolved configuration; feeding that manifest back
 through ``--config`` reproduces the run byte for byte.
 
-Exit codes: 0 success, 2 configuration or domain error, 3 calibration
-guarantee violation (undersampled training data in strict mode), 4
-solver finished with a non-optimal status.
+Exit codes: 0 success, 2 configuration or domain error (a request too
+large to allocate is one), 3 calibration guarantee violation
+(undersampled training data in strict mode), 4 solver finished with a
+non-optimal status.
 """
 
 from __future__ import annotations
@@ -424,6 +425,6 @@ def main(argv=None) -> int:
     except UndersampledError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -55,12 +55,12 @@ def estimate_coverage(
 
     The draws are streamed: the sampler writes each block of rows into one
     of two reused buffers (see :meth:`GaussianMixture._blocks
-    <ballcover.mixtures.GaussianMixture._blocks>`), so beyond one label per
-    draw the memory does not grow with ``n_samples``.  The calling thread
-    draws block i+1 while one worker thread, opened for this call, scores
-    block i with :func:`~ballcover.geometry.member_batch` (numpy releases
-    the GIL inside both).  The draws equal ``mix.sample(stream, n_samples)``
-    and the hit counts are integers, so the estimate is the serial one.
+    <ballcover.mixtures.GaussianMixture._blocks>`), so the memory does not
+    grow with ``n_samples``.  The calling thread draws block i+1 while one
+    worker thread, opened for this call, scores block i with
+    :func:`~ballcover.geometry.member_batch` (numpy releases the GIL inside
+    both).  The draws equal ``mix.sample(stream, n_samples)`` and the hit
+    counts are integers, so the estimate is the serial one.
     """
     _check_count("n_samples", n_samples)
     if mix.dimension != uset.dimension:

@@ -140,11 +140,11 @@ class GaussianMixture:
         return int(self._means.shape[1])
 
     def sample(self, stream: RandomStream, n: int) -> np.ndarray:
-        """Draw n i.i.d. points: weighted component choice, then mean + L z.
+        """Draw n i.i.d. points: component counts, then mean + L z per row.
 
         Each block of :meth:`_blocks` is written into its own rows of the
-        output, so beyond the output the scratch memory is one label per
-        draw plus one block, and no (n, d, d) copy of the factors is made.
+        output, so beyond the output the scratch memory is one block's
+        transform whatever n is, and no (n, d, d) copy of the factors is made.
         """
         if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
             raise TypeError(f"n must be an integer, got {type(n).__name__}")
@@ -158,15 +158,18 @@ class GaussianMixture:
     def _blocks(self, stream: RandomStream, n: int, out: np.ndarray | None = None):
         """Yield the n draws of ``stream`` one block of rows at a time.
 
-        All n component labels are drawn first, by ``rng.choice`` one block
-        at a time (that consumes the stream exactly as one call does) into
-        the narrowest integer type that holds them.  Then each block's
-        standard normals are drawn straight into its rows (block by block,
-        the same bits as one (n, d) call) and transformed in place, one
-        component's rows at a time.  A block has ``_CHUNK_BUDGET // (2 * d
-        + 1)`` rows, so its gathered rows, their transform and their row
-        indices fit one budget.  Each point goes through the same products
-        and sums as ``means[comp] + einsum("nij,nj->ni", factors[comp], z)``.
+        The draws are sampled by composition: one ``rng.multinomial(n,
+        weights)`` call gives the component counts, and component k owns the
+        contiguous rows ``edges[k]:edges[k+1]``, ``edges`` being the running
+        sum of the counts from 0.  Every estimator treats a sample as an
+        unordered set, so grouping the rows by component changes no law.
+        Then each block's standard normals are drawn straight into its rows
+        (block by block, the same bits as one (n, d) call), and each
+        component's slice of the block is set in place to
+        ``einsum("ij,nj->ni", factor, rows) + mean``, the per-row products
+        and sums of ``means[comp] + einsum("nij,nj->ni", factors[comp], z)``.
+        A block has ``_CHUNK_BUDGET // (2 * d)`` rows, so its normals and the
+        einsum's temporary fit one budget.
 
         Block i is written into its own rows of ``out``, an (n, d) array,
         when one is given.  Otherwise the blocks alternate between two
@@ -174,24 +177,18 @@ class GaussianMixture:
         is requested: the caller may score block i while block i+1 is drawn.
         """
         d = self.dimension
-        block = max(1, _CHUNK_BUDGET // (2 * d + 1))
+        block = max(1, _CHUNK_BUDGET // (2 * d))
         rng = stream.generator()
-        comp = np.empty(n, dtype=np.min_scalar_type(self.num_components - 1))
-        for start in range(0, n, block):
-            labels = comp[start : start + block]
-            labels[:] = rng.choice(self.num_components, size=labels.size, p=self._weights)
+        edges = np.concatenate(([0], np.cumsum(rng.multinomial(n, self._weights))))
         buffers = None if out is not None else np.empty((2, min(n, block), d))
         for i, start in enumerate(range(0, n, block)):
-            labels = comp[start : start + block]
+            stop = min(start + block, n)
             target = out[start:] if buffers is None else buffers[i % 2]
-            z = rng.standard_normal(out=target[: labels.size])
-            # The components' row sets are disjoint, so each write touches
-            # only rows that no other component reads.
-            for k, (mean, factor) in enumerate(zip(self._means, self._factors)):
-                rows = np.flatnonzero(labels == k)
-                points = np.einsum("ij,nj->ni", factor, z.take(rows, axis=0))
-                points += mean
-                z[rows] = points
+            z = rng.standard_normal(out=target[: stop - start])
+            cuts = np.clip(edges, start, stop) - start
+            for lo, hi, mean, factor in zip(cuts[:-1], cuts[1:], self._means, self._factors):
+                rows = z[lo:hi]
+                np.add(np.einsum("ij,nj->ni", factor, rows), mean, out=rows)
             yield z
 
     def density(self, u) -> float | np.ndarray:

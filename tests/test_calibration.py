@@ -249,6 +249,15 @@ class TestCalibrationSpec:
         with pytest.raises(ValueError):
             CalibrationSpec(0.9, 0.05, 0.05, lam=0.3, alpha_n=0.96)
 
+    @pytest.mark.parametrize("alpha_n", [0.9, 0.96])
+    def test_alpha_n_message_matches_the_bounds(self, alpha_n):
+        # The spec and the violation bounds share one level check.
+        with pytest.raises(ValueError) as from_spec:
+            CalibrationSpec(0.9, 0.05, 0.05, alpha_n=alpha_n)
+        with pytest.raises(ValueError) as from_bounds:
+            chernoff_violation_bounds(100, 0.9, 0.05, alpha_n)
+        assert str(from_spec.value) == str(from_bounds.value)
+
     def test_bad_lambda_string(self):
         with pytest.raises(ValueError):
             CalibrationSpec(0.9, 0.05, 0.05, lam="auto")

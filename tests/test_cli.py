@@ -603,6 +603,27 @@ class TestConfigResolution:
         assert capsys.readouterr().err.startswith("error:")
 
 
+# Each asks for an array above 100 TiB, which numpy refuses before touching
+# memory: n_min is about 1.2e13 at eps=1e-6, and 12M x 12M cells is 131 TiB.
+# Draw counts of 2**63 or more do not fit numpy's integer sampling.
+OVERSIZE_ARGVS = [
+    ["calibrate", "--mixture", "peaked", "--m", "10", "--eps", "1e-6"],
+    ["calibrate", "--mixture", "peaked", "--m", "10000000000000"],
+    ["coverage", "--mixture", "peaked", "--m", "10", "--eps", "1e-6", "--trials", "1"],
+    ["coverage", "--mixture", "peaked", "--m", "10", "--trials", "1",
+     "--mc-samples", "100000000000000000000"],
+    ["raster", "--mixture", "peaked", "--m", "10", "--resolution", "12000000"],
+]
+
+
+@pytest.mark.parametrize("argv", OVERSIZE_ARGVS, ids=["n_min", "m", "trial", "mc", "raster"])
+def test_request_too_large_to_allocate_exits_2(tmp_path, capsys, argv):
+    assert main([*argv, "--out-dir", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+
+
 class TestModuleEntryPoint:
     def test_python_dash_m(self):
         proc = subprocess.run(

@@ -100,24 +100,23 @@ class TestEstimateCoverage:
         uset = UncertaintySet(centers=[[0.0, 0.0]], radius=100.0, norm=Norm.L2)
         assert estimate_coverage(uset, standard_normal_2d(), np.int64(7), RandomStream(1, 0)) == 1.0
 
-    def test_scratch_memory_is_about_one_label_per_draw(self):
-        # The draws are streamed through one reused block, so doubling n adds
-        # only the labels, one byte each for a two-component mixture.  Keeping
-        # all (n, 2) draws and int64 labels would add 24 bytes a draw, and
-        # int64 labels alone 8; the threads' scoring blocks move the peak by
-        # up to about 0.2 MB from run to run.
+    def test_scratch_memory_does_not_grow_with_the_draw_count(self):
+        # The draws are streamed through two reused blocks and the counts are
+        # one integer per component, so ten times the draws keeps the same
+        # peak.  One byte a draw would add 1.8 MB; the worker's scoring
+        # blocks move the peak by up to about 0.1 MB from run to run.
         mix = bundled_mixture("peaked")
         uset = self.median_radius_set(mix, Norm.L2)
-        estimate_coverage(uset, mix, 1_000, RandomStream(1, 1))
+        estimate_coverage(uset, mix, 200_000, RandomStream(1, 1))
         peaks = []
-        for n in (200_000, 400_000):
+        for n in (200_000, 2_000_000):
             tracemalloc.start()
             try:
                 estimate_coverage(uset, mix, n, RandomStream(1, 2))
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
-        assert peaks[1] - peaks[0] <= 4 * 200_000
+        assert peaks[1] - peaks[0] <= 2**19
 
     def test_dimension_mismatch_rejected(self, monkeypatch):
         # Checked before any draw, so the error is not raised by the scorer.
@@ -150,7 +149,7 @@ class TestEstimateCoverage:
         mix = bundled_mixture("peaked")
         uset = self.median_radius_set(mix, norm)
         if isinstance(n, tuple):
-            n = n[1] * (_CHUNK_BUDGET // (2 * mix.dimension + 1)) + n[2]
+            n = n[1] * (_CHUNK_BUDGET // (2 * mix.dimension)) + n[2]
         cpus = set(range(workers))
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: workers)
@@ -171,7 +170,7 @@ class TestEstimateCoverage:
     def test_error_on_the_last_block_reaches_the_caller(self, monkeypatch):
         mix = bundled_mixture("peaked")
         uset = self.median_radius_set(mix, Norm.L2)
-        n = 2 * (_CHUNK_BUDGET // (2 * mix.dimension + 1)) + 1
+        n = 2 * (_CHUNK_BUDGET // (2 * mix.dimension)) + 1
         last_draw = mix.sample(RandomStream(8, 0), n)[-1]
 
         def failing_member_batch(uset, points):

@@ -38,9 +38,13 @@ def correlated(d, k=3, seed=0):
 
 
 def gather_sample(mix, stream, n):
-    """Sampling as an (n, d, d) gather of the factors: the reference formula."""
+    """Sampling by component counts, as an (n, d, d) gather: the reference formula.
+
+    One multinomial gives the counts, component k owns the next counts[k]
+    rows, and one (n, d) call gives every row's normals.
+    """
     rng = stream.generator()
-    comp = rng.choice(mix.num_components, size=n, p=mix.weights)
+    comp = np.repeat(np.arange(mix.num_components), rng.multinomial(n, mix.weights))
     z = rng.standard_normal((n, mix.dimension))
     return mix.means[comp] + np.einsum("nij,nj->ni", mix._factors[comp], z)
 
@@ -204,7 +208,7 @@ class TestSampling:
     )
     def test_sample_equals_the_streamed_blocks(self, mix):
         # The streamed blocks reuse two buffers, so each is copied as it comes.
-        block = _CHUNK_BUDGET // (2 * mix.dimension + 1)
+        block = _CHUNK_BUDGET // (2 * mix.dimension)
         for n in (1, block - 1, block, block + 1, 100_003):
             stream = RandomStream(2, n)
             blocks = [points.copy() for points in mix._blocks(stream, n)]
@@ -215,7 +219,7 @@ class TestSampling:
         # Block i stays valid while block i+1 is drawn and is overwritten by
         # block i+2, so a caller can score one block while the next is drawn.
         mix = bundled_mixture("peaked")
-        block = _CHUNK_BUDGET // (2 * mix.dimension + 1)
+        block = _CHUNK_BUDGET // (2 * mix.dimension)
         blocks, copies = [], []
         for points in mix._blocks(RandomStream(2, 0), 4 * block + 1):
             if blocks:
@@ -228,14 +232,37 @@ class TestSampling:
         assert len(blocks) == 5
 
     def test_component_without_draws(self):
+        # The middle component gets no rows, so its slice of every block is empty.
         mix = GaussianMixture(
-            [0.98, 0.01, 0.01], [(0.0, 0.0), (5.0, 5.0), (-5.0, 5.0)],
+            [0.49, 0.02, 0.49], [(0.0, 0.0), (5.0, 5.0), (-5.0, 5.0)],
             [np.eye(2), [[2.0, 0.9], [0.9, 1.0]], 0.3 * np.eye(2)],
         )
         stream = RandomStream(3, 0)
-        comp = stream.generator().choice(3, size=4, p=mix.weights)
-        assert np.bincount(comp, minlength=3).min() == 0
+        counts = stream.generator().multinomial(4, mix.weights)
+        assert counts[1] == 0 and counts[0] > 0 and counts[2] > 0
         np.testing.assert_array_equal(mix.sample(stream, 4), gather_sample(mix, stream, 4))
+
+    @pytest.mark.parametrize(
+        "mix",
+        [
+            bundled_mixture("fourmode"),
+            GaussianMixture(
+                [0.2, 0.5, 0.3], 100.0 * np.eye(3), [np.eye(3), 2.0 * np.eye(3), 0.5 * np.eye(3)]
+            ),
+        ],
+        ids=["fourmode", "d3"],
+    )
+    def test_rows_are_grouped_by_component(self, mix):
+        # Component k owns rows edges[k]:edges[k+1], across block boundaries:
+        # with modes this far apart, each row is nearest its own mean.
+        n = 3 * (_CHUNK_BUDGET // (2 * mix.dimension)) + 5
+        stream = RandomStream(6, 1)
+        counts = stream.generator().multinomial(n, mix.weights)
+        points = mix.sample(stream, n)
+        dist = np.linalg.norm(points[:, np.newaxis, :] - mix.means[np.newaxis], axis=2)
+        np.testing.assert_array_equal(
+            dist.argmin(axis=1), np.repeat(np.arange(mix.num_components), counts)
+        )
 
     def test_scratch_memory_has_no_factor_gather(self):
         # An (n, d, d) gather of the factors alone would be 64 MB here.
@@ -253,18 +280,18 @@ class TestSampling:
         [bundled_mixture("peaked"), bundled_mixture("fourmode"), correlated(3, seed=3)],
         ids=["peaked", "fourmode", "d3"],
     )
-    def test_scratch_memory_is_the_labels_plus_one_block(self, mix):
-        # Beyond its output the sampler keeps one label per draw (at most an
-        # int64) and one block of rows (its gather, transform and row indices
-        # fit one _CHUNK_BUDGET); a gather of all of a component's rows would not.
-        n = 200_000
-        tracemalloc.start()
-        try:
-            out = mix.sample(RandomStream(4, 0), n)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= out.nbytes + 8 * n + 8 * _CHUNK_BUDGET + 64 * 1024
+    def test_scratch_memory_is_one_block(self, mix):
+        # Beyond its output the sampler keeps one block's transform (half a
+        # _CHUNK_BUDGET of floats) and einsum's buffer, whatever n is; one
+        # byte a draw would already pass the bound at 2M draws.
+        for n in (200_000, 2_000_000):
+            tracemalloc.start()
+            try:
+                out = mix.sample(RandomStream(4, 0), n)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= out.nbytes + 8 * _CHUNK_BUDGET + 64 * 1024
 
     def test_density_integrates_to_one(self):
         # Importance sampling against a wide proposal.
