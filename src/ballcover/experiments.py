@@ -294,10 +294,11 @@ def raster_set(uset: UncertaintySet, bbox, resolution: int) -> np.ndarray:
     ball's window lies a full cell beyond ``center +- radius`` along one
     axis, so it is outside that ball in every p-norm (unless the cells are
     only a few ulps wide); inside the window each (cell, center) pair is
-    tested with the arithmetic of :func:`~ballcover.geometry.member_batch`.
-    The grid therefore equals ``member_batch(uset, cell_centers)`` bit for
-    bit, at a cost that grows with the number of balls times the cells one
-    ball covers rather than times all cells.
+    tested with the arithmetic of :func:`~ballcover.geometry.shape_values`,
+    on which :func:`~ballcover.geometry.member_batch` reaches the same
+    verdict pair by pair.  The grid therefore equals ``member_batch(uset,
+    cell_centers)`` bit for bit, at a cost that grows with the number of
+    balls times the cells one ball covers rather than times all cells.
     """
     if uset.dimension != 2:
         raise DimensionError(

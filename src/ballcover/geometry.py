@@ -14,6 +14,7 @@ a linear function over the set all live in this module.  Only p in
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,10 +32,11 @@ __all__ = [
     "worst_case_linear",
 ]
 
-# Floats per pairwise-distance block: 64K floats (512 KB), so a block (squared
-# or made absolute in place) and its row sums stay in one core's L2 cache.  A
-# block holds at least one row, so a single row wider than the budget (m * d
-# above it) still makes one block.
+# Floats of kernel scratch: 64K floats (512 KB), so it stays in one core's L2
+# cache.  ``shape_values`` fits each (rows, m, d) difference block in it (at
+# least one row, so a single row wider than the budget, m * d above it, still
+# makes one block); ``member_batch`` splits it into the few (g, left) slots
+# its coordinate sums need.
 _CHUNK_BUDGET = 65_536
 
 
@@ -159,9 +161,10 @@ def shape_values(centers, norm: Norm, points) -> np.ndarray:
 def _within(points: np.ndarray, centers: np.ndarray, norm: Norm, radius: float) -> np.ndarray:
     """``||points - centers||_p <= radius`` over broadcast (..., d) arrays.
 
-    Each pair goes through the same arithmetic as :func:`shape_values`
-    (``points - centers``, then :func:`_reduce`), so the result agrees bit
-    for bit with :func:`member_batch` on those pairs.
+    Each pair goes through the arithmetic of :func:`shape_values`
+    (``points - centers``, then :func:`_reduce`).  :func:`member_batch`
+    reaches the same verdict on every pair (its coordinate sums equal
+    :func:`_reduce`'s bit for bit), so the two agree.
     """
     return _reduce(points - centers, norm) <= radius
 
@@ -233,38 +236,140 @@ def member_batch(uset: UncertaintySet, points) -> np.ndarray:
 
     A point is inside once one ball holds it, so the centers are walked in
     their stored order and each step tests only the points still outside:
-    with ``left`` of them, a step takes the next ``ceil(m / left)`` centers
-    (at least one point's worth of pairs), capped so that its ``(left, g,
-    d)`` difference array fits ``_CHUNK_BUDGET`` floats.  Points enter in
-    blocks of ``_CHUNK_BUDGET // d`` rows, so the scratch memory does not
-    grow with n or m.  Each pair goes through the arithmetic of
-    :func:`shape_values`, so "some ball has ``dist <= radius``" equals
-    ``shape_values(...) <= radius`` bit for bit; a row with a NaN is never
-    inside.
+    with ``left`` of them, a step takes the next ``ceil(m / left)`` centers,
+    capped so that its ``(g, left)`` pairs fit one slot of the scratch.
+    Points enter in blocks, each transposed once to ``(d, rows)``, and the
+    pairs are scored one coordinate at a time: subtract, square (L2) or take
+    the absolute value (L1, Linf) in place, then add (L1, L2) or take the
+    maximum (Linf).  The coordinates are combined in the order numpy's
+    pairwise summation adds them (see :func:`_sum_order`), so each pair's
+    sum equals :func:`_reduce`'s, and thus :func:`shape_values`'s, bit for
+    bit.  An L2 sum is compared with the largest double whose ``sqrt`` is at
+    or below the radius instead of taking the ``sqrt``: ``sqrt`` is monotone
+    and correctly rounded, so the verdict is the same.  Hence "some ball
+    holds the point" equals ``shape_values(...) <= radius`` bit for bit,
+    and a row with a NaN is never inside.
+
+    The scratch is allocated once per call: ``_CHUNK_BUDGET`` floats (fewer
+    for small inputs) split into the slots the summation order needs (two
+    below d = 8, four or five up to d = 128), and the transposed block,
+    with as many rows as one slot holds.  Neither grows with n or m; the
+    block grows with d.
     """
     points = _matrix(points, "points")
-    centers, norm, radius = uset.centers, uset.norm, uset.radius
+    centers, norm = uset.centers, uset.norm
     m, d = centers.shape
     if points.shape[1] != d:
         raise DimensionError(
             f"dimension mismatch: set is {d}-D, points are {points.shape[1]}-D"
         )
-    inside = np.zeros(points.shape[0], dtype=bool)
-    rows = max(1, _CHUNK_BUDGET // d)
-    for first in range(0, points.shape[0], rows):
-        outside = points[first : first + rows]
-        left = np.arange(first, first + outside.shape[0])
+    n = points.shape[0]
+    if norm is Norm.L2:
+        transform, combine, level = np.square, np.add, _squared_level(uset.radius)
+    else:
+        transform, level = np.abs, uset.radius
+        combine = np.add if norm is Norm.L1 else np.maximum
+    steps = _steps(_sum_order(0, d))
+    depth = 1 + max(slot for _, slot in steps)
+    # A slot holds a whole block against one center, and no step holds
+    # more than m + left - 1 pairs.
+    size = max(1, _CHUNK_BUDGET // depth)
+    rows = min(n, size)
+    scratch = np.empty((depth, min(size, rows + m - 1)))
+    by_axis = centers.T[:, :, np.newaxis]
+    inside = np.zeros(n, dtype=bool)
+    for first in range(0, n, rows):
+        outside = points[first : first + rows].T.copy()
+        left = np.arange(first, first + outside.shape[1])
         start = 0
         while start < m and left.size:
-            g = max(1, min(-(-m // left.size), _CHUNK_BUDGET // (left.size * d)))
-            diffs = outside[:, np.newaxis, :] - centers[np.newaxis, start : start + g, :]
-            hit = (_reduce(diffs, norm) <= radius).any(axis=1)
+            g = min(-(-m // left.size), scratch.shape[1] // left.size)
+            cols = by_axis[:, start : start + g]
+            slots = scratch[:, : cols.shape[1] * left.size].reshape(depth, -1, left.size)
+            _accumulate(steps, slots, outside, cols, transform, combine)
+            hit = (slots[0] <= level).any(axis=0)
             if hit.any():
                 inside[left[hit]] = True
                 miss = np.flatnonzero(~hit)
-                left, outside = left.take(miss), outside.take(miss, axis=0)
+                left, outside = left.take(miss), outside.take(miss, axis=1)
             start += g
     return inside
+
+
+def _fold(coords, node=None):
+    """Left-to-right sum tree over ``coords``, added onto ``node`` if given.
+
+    A tree is a coordinate index (a leaf) or a ``(left, right)`` pair whose
+    value is ``left + right``.
+    """
+    for j in coords:
+        node = j if node is None else (node, j)
+    return node
+
+
+def _sum_order(first: int, count: int):
+    """numpy's pairwise summation tree over ``count`` coordinates from ``first``.
+
+    ``a.sum(axis=-1)`` on a float array adds the terms of each row in this
+    order: one by one below 8 terms; up to 128 terms, eight lanes (lane k
+    adds terms k, k + 8, ...), a fixed tree over the lanes, then the
+    remaining ``count % 8`` terms one by one; above 128, the two halves
+    (the first a multiple of 8) separately, then their sums.  A test pins
+    this against numpy for every d up to 300.
+    """
+    if count < 8:
+        return _fold(range(first, first + count))
+    if count <= 128:
+        full = first + count - count % 8
+        lane = [_fold(range(first + k, full, 8)) for k in range(8)]
+        tree = (((lane[0], lane[1]), (lane[2], lane[3])), ((lane[4], lane[5]), (lane[6], lane[7])))
+        return _fold(range(full, first + count), tree)
+    half = count // 2 - count // 2 % 8
+    return (_sum_order(first, half), _sum_order(first + half, count - half))
+
+
+def _steps(tree, slot: int = 0) -> list:
+    """The tree as a stack program over numbered slots, result in ``slot``.
+
+    ``(j, s)`` writes coordinate j's term into slot s; ``(-1, s)`` combines
+    slot s + 1 into slot s.  A left spine takes no extra slot, so a fold
+    over any number of coordinates needs two.
+    """
+    spine = []
+    while isinstance(tree, tuple):
+        spine.append(tree[1])
+        tree = tree[0]
+    steps = [(tree, slot)]
+    for right in reversed(spine):
+        steps += _steps(right, slot + 1)
+        steps.append((-1, slot))
+    return steps
+
+
+def _accumulate(steps, slots, outside, cols, transform, combine) -> None:
+    """Run a :func:`_steps` program over (point, center) pairs.
+
+    ``outside`` holds the points by coordinate, ``(d, left)``, and ``cols``
+    the centers, ``(d, g, 1)``.  Coordinate j's term for every pair is
+    ``transform(outside[j] - cols[j])``, written in place into a ``(g,
+    left)`` slot; the result is left in ``slots[0]``.
+    """
+    for j, slot in steps:
+        out = slots[slot]
+        if j < 0:
+            combine(out, slots[slot + 1], out=out)
+        else:
+            transform(np.subtract(outside[j], cols[j], out=out), out=out)
+
+
+def _squared_level(radius: float) -> float:
+    """The largest double s with ``sqrt(s) <= radius`` (0 <= radius < inf)."""
+    level = radius * radius
+    while math.sqrt(level) > radius:
+        level = math.nextafter(level, 0.0)
+    while math.sqrt(math.nextafter(level, math.inf)) <= radius:
+        level = math.nextafter(level, math.inf)
+    return level
 
 
 def worst_case_linear(uset: UncertaintySet, x) -> float:

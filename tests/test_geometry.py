@@ -1,5 +1,6 @@
 """Tests for norms, the nearest-center shape function, and set geometry."""
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -194,9 +195,9 @@ class TestBlocks:
             for budget in (1, 7, 4096, 65_536, 1_000_000):
                 monkeypatch.setattr(geometry, "_CHUNK_BUDGET", budget)
                 results.append(shape_values(centers, norm, points))
-                # At m = 1000 the small budgets score a pair or so a step,
-                # which takes seconds; the other m values cover the steps.
-                if m < 1000:
+                # At m = 1000 budgets 1 and 7 score a pair or so a step,
+                # which takes seconds; the other m values cover such steps.
+                if m < 1000 or budget > 7:
                     memberships.append(member_batch(uset, points))
             for result in results[1:]:
                 np.testing.assert_array_equal(result, results[0])
@@ -218,6 +219,31 @@ class TestBlocks:
         assert peak < 4 * 2**20
 
 
+class TestSumOrder:
+    """``member_batch`` adds coordinates in the order ``ndarray.sum`` does."""
+
+    def test_plan_equals_numpy_sum_at_every_dimension(self):
+        # If a numpy release changes its summation order, this fails rather
+        # than member_batch and shape_values silently drifting apart.
+        rng = np.random.default_rng(15)
+        for d in range(1, 301):
+            terms = 10.0 ** rng.uniform(-3, 3, size=(64, d))
+            steps = geometry._steps(geometry._sum_order(0, d))
+            slots = np.empty((1 + max(slot for _, slot in steps), 1, terms.shape[0]))
+            geometry._accumulate(steps, slots, terms.T, np.zeros((d, 1, 1)), np.abs, np.add)
+            np.testing.assert_array_equal(slots[0, 0], terms.sum(axis=-1), err_msg=f"d={d}")
+
+    def test_slots_stay_few(self):
+        # Two slots hold a sequential sum, four or five the eight-lane one
+        # (five once a lane adds two terms), and each split above 128 terms
+        # adds one.
+        depth = {
+            d: 1 + max(slot for _, slot in geometry._steps(geometry._sum_order(0, d)))
+            for d in (1, 2, 7, 8, 9, 16, 20, 128, 129, 256, 300)
+        }
+        assert depth == {1: 1, 2: 2, 7: 2, 8: 4, 9: 4, 16: 5, 20: 5, 128: 5, 129: 6, 256: 6, 300: 7}
+
+
 @st.composite
 def sets_and_points(draw):
     """A set whose radius is one point's own score, plus points with NaN rows.
@@ -226,7 +252,8 @@ def sets_and_points(draw):
     point lies exactly on the radius; centers may repeat.
     """
     norm = draw(st.sampled_from(ALL_NORMS))
-    d = draw(st.integers(1, 20))
+    # Up to 40, so the eight-lane sums reach tails beyond 16 and 32 terms.
+    d = draw(st.integers(1, 40))
     m = draw(st.integers(1, 300))
     n = draw(st.integers(1, 200))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -255,6 +282,40 @@ class TestMemberBatchProperties:
         # A 1-D point is one row, through both entry points.
         assert member_batch(uset, points[0]).tolist() == [expected[0]]
         assert member(uset, points[0]) is bool(expected[0])
+
+    @pytest.mark.parametrize("norm", ALL_NORMS)
+    @pytest.mark.parametrize("radius", [0.0, 5e-320, 1e-160, 1.0, 1e150, 1e200])
+    def test_threshold_at_extreme_radii(self, radius, norm):
+        # Radius 0, a subnormal radius, radii whose squares underflow or
+        # overflow (1e-160, 1e200), and points with infinite coordinates.
+        # Around the origin center the differences are the points themselves,
+        # so subnormal and huge offsets reach the kernel unrounded.
+        centers = np.array([[0.0, 0.0, 0.0], [1.0, -2.0, 0.5]])
+        rng = np.random.default_rng(13)
+        offsets = [0.0, 5e-324, 1e-320, 5e-320, 1e-160, 1e-150, 1.0, 1e150, 1.3e154, 1e199, 1e200]
+        rows = [np.zeros(3), centers[1]]
+        for value in offsets:
+            rows += [np.array([value, 0.0, 0.0]), np.full(3, value), np.array([-value, value, 0.0])]
+            rows.append(centers[1] + value)
+            rows.append(np.nextafter(np.full(3, value), np.inf))
+        for bad in (np.inf, -np.inf):
+            rows += [np.array([bad, 0.0, 0.0]), np.array([1.0, -2.0, bad]), np.full(3, bad)]
+        rows += list(rng.normal(scale=radius or 1.0, size=(40, 3)))
+        points = np.array(rows)
+        uset = UncertaintySet(centers, radius, norm)
+        with np.errstate(over="ignore"):
+            expected = shape_values(centers, norm, points) <= radius
+            np.testing.assert_array_equal(member_batch(uset, points), expected)
+            assert not np.any(member_batch(uset, points[np.isinf(points).any(axis=1)]))
+
+    def test_squared_level_is_the_last_square_at_or_below_the_radius(self):
+        rng = np.random.default_rng(14)
+        radii = [0.0, 5e-324, 5e-320, 2.2e-308, 1e-160, 1.0, 2.0, 1e154, 1.4e154, 1e200, 1.7e308]
+        radii += list(10.0 ** rng.uniform(-320, 308, size=500)) + list(rng.uniform(0, 3, size=500))
+        for radius in radii:
+            level = geometry._squared_level(float(radius))
+            assert np.sqrt(level) <= radius
+            assert np.sqrt(math.nextafter(level, math.inf)) > radius
 
     def test_dimension_mismatch(self):
         uset = UncertaintySet([(0.0, 0.0)], 1.0, Norm.L2)
