@@ -10,6 +10,7 @@ tooling.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -24,7 +25,7 @@ from .geometry import (
     _within,
     member_batch,
 )
-from .mixtures import GaussianMixture, RandomStream
+from .mixtures import _BLOCK_BUFFERS, GaussianMixture, RandomStream
 
 __all__ = [
     "ConsistencyConfig",
@@ -53,14 +54,13 @@ def estimate_coverage(
 ) -> float:
     """Fraction of ``n_samples`` i.i.d. draws from ``mix`` inside the set.
 
-    The draws are streamed: the sampler writes each block of rows into one
-    of two reused buffers (see :meth:`GaussianMixture._blocks
-    <ballcover.mixtures.GaussianMixture._blocks>`), so the memory does not
-    grow with ``n_samples``.  The calling thread draws block i+1 while one
-    worker thread, opened for this call, scores block i with
+    The draws are streamed through :func:`_streamed_coverage`: the calling
+    thread draws each block into one of three reused buffers while one
+    worker thread, opened for this call, scores the blocks before it with
     :func:`~ballcover.geometry.member_batch` (numpy releases the GIL inside
-    both).  The draws equal ``mix.sample(stream, n_samples)`` and the hit
-    counts are integers, so the estimate is the serial one.
+    both), so the memory does not grow with ``n_samples``.  The draws equal
+    ``mix.sample(stream, n_samples)`` and the hit counts are integers, so
+    the estimate is the serial one.
     """
     _check_count("n_samples", n_samples)
     if mix.dimension != uset.dimension:
@@ -69,17 +69,41 @@ def estimate_coverage(
             f"{uset.dimension}"
         )
     # Imported here so that commands which never estimate coverage skip it.
-    from concurrent.futures import ThreadPoolExecutor
+    from concurrent.futures import Future, ThreadPoolExecutor
 
+    known = Future()
+    known.set_result(uset)
+    with ThreadPoolExecutor(1) as worker:
+        return _streamed_coverage(worker, known, mix, n_samples, stream)
+
+
+def _score(uset, block: np.ndarray) -> int:
+    """Number of points of ``block`` inside the set that the future ``uset`` holds."""
+    return int(np.count_nonzero(member_batch(uset.result(), block)))
+
+
+def _streamed_coverage(
+    worker, uset, mix: GaussianMixture, n_samples: int, stream: RandomStream
+) -> float:
+    """Coverage of the ``n_samples`` draws of ``stream``, scored on ``worker``.
+
+    ``uset`` is a future of the set.  ``worker`` has one thread, so it runs
+    its tasks in the order they were submitted: a task that resolves
+    ``uset``, submitted before this call, is done before the first block is
+    scored.  The calling thread draws the blocks of
+    :meth:`GaussianMixture._blocks <ballcover.mixtures.GaussianMixture._blocks>`
+    and submits one scoring task per block.  The sampler cycles
+    ``_BLOCK_BUFFERS`` buffers, so the count of block i-2 is collected
+    before block i+1 is drawn into its buffer.  An error in ``uset`` or in
+    a scoring task is raised here.
+    """
     hits = 0
-    with ThreadPoolExecutor(1) as scorer:
-        scoring = None
-        for block in mix._blocks(stream, n_samples):
-            scored, scoring = scoring, scorer.submit(member_batch, uset, block)
-            # Block i-1 is scored before the sampler reuses its buffer.
-            if scored is not None:
-                hits += int(np.count_nonzero(scored.result()))
-        hits += int(np.count_nonzero(scoring.result()))
+    pending = deque()
+    for block in mix._blocks(stream, n_samples):
+        pending.append(worker.submit(_score, uset, block))
+        if len(pending) == _BLOCK_BUFFERS:
+            hits += pending.popleft().result()
+    hits += sum(scoring.result() for scoring in pending)
     return float(hits) / float(n_samples)
 
 
@@ -110,6 +134,7 @@ class ConsistencyConfig:
             raise TypeError(f"norm must be a Norm, got {self.norm!r}")
         for name in ("num_centers", "trials", "coverage_samples"):
             _check_count(name, getattr(self, name))
+        RandomStream(self.seed)  # rejects a seed that is not an integer, or a bool
 
 
 @dataclass(frozen=True)
@@ -178,19 +203,34 @@ def run_consistency_experiment(cfg: ConsistencyConfig) -> CoverageReport:
 
     Trial t uses stream ids 2t+1 (training) and 2t+2 (coverage); the shape
     sample owns stream id 0.  Results are a pure function of the config.
+
+    One worker thread serves every trial of the call.  For each trial it
+    first draws the training sample and calibrates the radius, while the
+    calling thread already draws the coverage blocks, which do not depend
+    on the radius; it then scores those blocks against the calibrated set
+    (see :func:`_streamed_coverage`).
     """
+    # Imported here so that commands which never estimate coverage skip it.
+    from concurrent.futures import ThreadPoolExecutor
+
     shape = cfg.mixture.sample(RandomStream(cfg.seed, 0), cfg.num_centers)
-    radii = np.empty(cfg.trials)
-    coverages = np.empty(cfg.trials)
-    for t in range(cfg.trials):
+
+    def calibrate(t: int) -> UncertaintySet:
         training = cfg.mixture.sample(
             RandomStream(cfg.seed, 2 * t + 1), cfg.calibration.n_min
         )
-        uset = calibrate_radius(shape, cfg.norm, training, cfg.calibration)
-        coverages[t] = estimate_coverage(
-            uset, cfg.mixture, cfg.coverage_samples, RandomStream(cfg.seed, 2 * t + 2)
-        )
-        radii[t] = uset.radius
+        return calibrate_radius(shape, cfg.norm, training, cfg.calibration)
+
+    radii = np.empty(cfg.trials)
+    coverages = np.empty(cfg.trials)
+    with ThreadPoolExecutor(1) as worker:
+        for t in range(cfg.trials):
+            uset = worker.submit(calibrate, t)
+            draws = RandomStream(cfg.seed, 2 * t + 2)
+            coverages[t] = _streamed_coverage(
+                worker, uset, cfg.mixture, cfg.coverage_samples, draws
+            )
+            radii[t] = uset.result().radius
     return CoverageReport(
         alpha=cfg.calibration.alpha,
         epsilon=cfg.calibration.epsilon,

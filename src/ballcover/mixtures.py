@@ -34,6 +34,8 @@ __all__ = [
 ]
 
 _UINT64 = 2**64
+# Reused buffers that GaussianMixture._blocks cycles when it has no output.
+_BLOCK_BUFFERS = 3
 
 
 @dataclass(frozen=True)
@@ -52,7 +54,7 @@ class RandomStream:
     def __post_init__(self) -> None:
         for name in ("seed", "stream_id"):
             value = getattr(self, name)
-            if not isinstance(value, (int, np.integer)):
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
                 raise TypeError(f"{name} must be an integer, got {type(value).__name__}")
             object.__setattr__(self, name, int(value) % _UINT64)
 
@@ -172,18 +174,20 @@ class GaussianMixture:
         einsum's temporary fit one budget.
 
         Block i is written into its own rows of ``out``, an (n, d) array,
-        when one is given.  Otherwise the blocks alternate between two
-        reused buffers, so a block stays valid until the next-but-one block
-        is requested: the caller may score block i while block i+1 is drawn.
+        when one is given.  Otherwise the blocks cycle through
+        ``_BLOCK_BUFFERS`` (three) reused buffers, so block i stays valid
+        until block i+3 is requested: a caller may score blocks i-1 and i
+        while block i+1 is drawn, so the sampler may run two blocks ahead of
+        its scorer.
         """
         d = self.dimension
         block = max(1, _CHUNK_BUDGET // (2 * d))
         rng = stream.generator()
         edges = np.concatenate(([0], np.cumsum(rng.multinomial(n, self._weights))))
-        buffers = None if out is not None else np.empty((2, min(n, block), d))
+        buffers = None if out is not None else np.empty((_BLOCK_BUFFERS, min(n, block), d))
         for i, start in enumerate(range(0, n, block)):
             stop = min(start + block, n)
-            target = out[start:] if buffers is None else buffers[i % 2]
+            target = out[start:] if buffers is None else buffers[i % _BLOCK_BUFFERS]
             z = rng.standard_normal(out=target[: stop - start])
             cuts = np.clip(edges, start, stop) - start
             for lo, hi, mean, factor in zip(cuts[:-1], cuts[1:], self._means, self._factors):

@@ -3,6 +3,7 @@
 import math
 import os
 import threading
+import time
 import tracemalloc
 import warnings
 
@@ -101,7 +102,7 @@ class TestEstimateCoverage:
         assert estimate_coverage(uset, standard_normal_2d(), np.int64(7), RandomStream(1, 0)) == 1.0
 
     def test_scratch_memory_does_not_grow_with_the_draw_count(self):
-        # The draws are streamed through two reused blocks and the counts are
+        # The draws are streamed through three reused blocks and the counts are
         # one integer per component, so ten times the draws keeps the same
         # peak.  One byte a draw would add 1.8 MB; the worker's scoring
         # blocks move the peak by up to about 0.1 MB from run to run.
@@ -274,11 +275,137 @@ class TestConsistencyExperiment:
         with pytest.raises(TypeError):
             self.small_config(calibration=0.9)
 
+    @pytest.mark.parametrize("seed", [True, False, 1.5, "7", None])
+    def test_seed_must_be_an_integer(self, seed):
+        # Checked at construction, not when the first stream is opened.
+        with pytest.raises(TypeError, match="seed must be an integer"):
+            self.small_config(seed=seed)
+
+    def test_any_integer_seed_accepted(self):
+        for seed in (0, -3, 2**70, np.int64(5)):
+            assert self.small_config(seed=seed).seed == seed
+
     def test_report_rejects_ragged_arrays(self):
         with pytest.raises(ValueError):
             CoverageReport(
                 alpha=0.9, epsilon=0.05, radii=[1.0, 2.0], coverages=[0.9]
             )
+
+
+def serial_consistency(cfg):
+    """Radii and coverages of ``cfg`` computed one step after another."""
+    shape = cfg.mixture.sample(RandomStream(cfg.seed, 0), cfg.num_centers)
+    radii, coverages = [], []
+    for t in range(cfg.trials):
+        training = cfg.mixture.sample(RandomStream(cfg.seed, 2 * t + 1), cfg.calibration.n_min)
+        uset = calibrate_radius(shape, cfg.norm, training, cfg.calibration)
+        draws = cfg.mixture.sample(RandomStream(cfg.seed, 2 * t + 2), cfg.coverage_samples)
+        radii.append(uset.radius)
+        coverages.append(np.count_nonzero(member_batch(uset, draws)) / cfg.coverage_samples)
+    return radii, coverages
+
+
+class TestConsistencyPipeline:
+    """Calibration on the worker, overlapped with the caller's coverage sampling."""
+
+    BLOCK = _CHUNK_BUDGET // 4  # rows of one streamed block in 2-D
+
+    def config(self, mixture="peaked", norm=Norm.L2, coverage_samples=3 * BLOCK + 1):
+        return ConsistencyConfig(
+            mixture=bundled_mixture(mixture),
+            num_centers=10,
+            calibration=quick_spec(),
+            trials=3,
+            coverage_samples=coverage_samples,
+            seed=11,
+            norm=norm,
+        )
+
+    def assert_serial(self, cfg):
+        report = run_consistency_experiment(cfg)
+        radii, coverages = serial_consistency(cfg)
+        assert report.radii.tolist() == radii
+        assert report.coverages.tolist() == coverages
+
+    @pytest.mark.parametrize("norm", list(Norm))
+    @pytest.mark.parametrize("mixture", ["peaked", "fourmode"])
+    @pytest.mark.parametrize(
+        "blocks, extra", [(1, -1), (1, 0), (3, -1), (3, 0), (3, 1), (4, 1)]
+    )
+    def test_equals_the_serial_reference(self, mixture, norm, blocks, extra):
+        self.assert_serial(self.config(mixture, norm, blocks * self.BLOCK + extra))
+
+    def test_slow_scorer_reads_every_block_before_it_is_reused(self, monkeypatch):
+        # A sampler that ran more than two blocks ahead of a slow scorer would
+        # overwrite a buffer before it was scored.
+        def slow_member_batch(uset, points):
+            time.sleep(0.001)
+            return member_batch(uset, points)
+
+        monkeypatch.setattr(experiments, "member_batch", slow_member_batch)
+        cfg = self.config(coverage_samples=6 * self.BLOCK + 1)
+        self.assert_serial(cfg)
+        uset = TestEstimateCoverage.median_radius_set(cfg.mixture, cfg.norm)
+        n = cfg.coverage_samples
+        draws = cfg.mixture.sample(RandomStream(0, 2), n)
+        serial = np.count_nonzero(member_batch(uset, draws)) / n
+        assert estimate_coverage(uset, cfg.mixture, n, RandomStream(0, 2)) == serial
+
+    def test_one_worker_calibrates_and_scores_every_trial(self, monkeypatch):
+        callers = {"calibrate": set(), "score": set()}
+
+        def recording(name, fn):
+            def record(*args):
+                callers[name].add(threading.get_ident())
+                return fn(*args)
+
+            return record
+
+        monkeypatch.setattr(experiments, "calibrate_radius", recording("calibrate", calibrate_radius))
+        monkeypatch.setattr(experiments, "member_batch", recording("score", member_batch))
+        threads = threading.active_count()
+        run_consistency_experiment(self.config())
+        assert threading.active_count() == threads
+        assert len(callers["calibrate"]) == 1
+        assert callers["calibrate"] == callers["score"]
+        assert threading.get_ident() not in callers["score"]
+
+    def test_calibration_error_reaches_the_caller(self, monkeypatch):
+        error = RuntimeError("calibration failed on trial 2")
+        calls = []
+
+        def failing_calibrate_radius(*args):
+            calls.append(None)
+            if len(calls) == 3:
+                raise error
+            return calibrate_radius(*args)
+
+        monkeypatch.setattr(experiments, "calibrate_radius", failing_calibrate_radius)
+        threads = threading.active_count()
+        with pytest.raises(RuntimeError) as info:
+            run_consistency_experiment(self.config())
+        assert info.value is error
+        assert len(calls) == 3
+        assert threading.active_count() == threads
+
+    @pytest.mark.parametrize("failing_block", [0, 2, 5])
+    def test_scoring_error_reaches_the_caller(self, monkeypatch, failing_block):
+        # Each trial scores four blocks: block 5 is the second one of trial 1.
+        error = RuntimeError("scoring failed")
+        calls = []
+
+        def failing_member_batch(uset, points):
+            calls.append(None)
+            if len(calls) == failing_block + 1:
+                raise error
+            return member_batch(uset, points)
+
+        monkeypatch.setattr(experiments, "member_batch", failing_member_batch)
+        threads = threading.active_count()
+        with pytest.raises(RuntimeError) as info:
+            run_consistency_experiment(self.config())
+        assert info.value is error
+        assert threading.active_count() == threads
 
 
 class TestUndershootFrequency:

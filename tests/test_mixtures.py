@@ -215,21 +215,22 @@ class TestSampling:
             assert max(len(points) for points in blocks) <= block
             np.testing.assert_array_equal(mix.sample(stream, n), np.concatenate(blocks))
 
-    def test_blocks_alternate_between_two_buffers(self):
-        # Block i stays valid while block i+1 is drawn and is overwritten by
-        # block i+2, so a caller can score one block while the next is drawn.
+    def test_blocks_cycle_three_buffers(self):
+        # Block i stays valid while blocks i+1 and i+2 are drawn and is
+        # overwritten by block i+3, so a caller can score blocks i-1 and i
+        # while block i+1 is drawn: the sampler runs two blocks ahead.
         mix = bundled_mixture("peaked")
         block = _CHUNK_BUDGET // (2 * mix.dimension)
         blocks, copies = [], []
-        for points in mix._blocks(RandomStream(2, 0), 4 * block + 1):
-            if blocks:
-                assert not np.shares_memory(points, blocks[-1])
-                np.testing.assert_array_equal(blocks[-1], copies[-1])
-            if len(blocks) >= 2:
-                assert np.shares_memory(points, blocks[-2])
+        for points in mix._blocks(RandomStream(2, 0), 6 * block + 1):
+            for earlier, copy in zip(blocks[-2:], copies[-2:]):
+                assert not np.shares_memory(points, earlier)
+                np.testing.assert_array_equal(earlier, copy)
+            if len(blocks) >= 3:
+                assert np.shares_memory(points, blocks[-3])
             blocks.append(points)
             copies.append(points.copy())
-        assert len(blocks) == 5
+        assert len(blocks) == 7
 
     def test_component_without_draws(self):
         # The middle component gets no rows, so its slice of every block is empty.
@@ -326,6 +327,15 @@ class TestRandomStream:
     def test_type_validation(self):
         with pytest.raises(TypeError):
             RandomStream(1.5, 0)
+
+    @pytest.mark.parametrize("seed, stream_id", [(True, 0), (False, 0), (1, True), (1, False)])
+    def test_bools_rejected(self, seed, stream_id):
+        # bool is an int subclass, but True is no seed.
+        with pytest.raises(TypeError, match="must be an integer, got bool"):
+            RandomStream(seed, stream_id)
+
+    def test_numpy_integers_accepted(self):
+        assert RandomStream(np.int64(3), np.uint8(4)) == RandomStream(3, 4)
 
 
 class TestTrueBallMass:
