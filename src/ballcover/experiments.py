@@ -335,8 +335,9 @@ def raster_set(uset: UncertaintySet, bbox, resolution: int) -> np.ndarray:
     axis, so it is outside that ball in every p-norm (unless the cells are
     only a few ulps wide); inside the window each (cell, center) pair is
     tested with the arithmetic of :func:`~ballcover.geometry.shape_values`,
-    on which :func:`~ballcover.geometry.member_batch` reaches the same
-    verdict pair by pair.  The grid therefore equals ``member_batch(uset,
+    which adds a pair's coordinates left to right, as
+    :func:`~ballcover.geometry.member_batch` does, so the two reach the
+    same verdict pair by pair.  The grid therefore equals ``member_batch(uset,
     cell_centers)`` bit for bit, at a cost that grows with the number of
     balls times the cells one ball covers rather than times all cells.
     """

@@ -35,8 +35,9 @@ __all__ = [
 # Floats of kernel scratch: 64K floats (512 KB), so it stays in one core's L2
 # cache.  ``shape_values`` fits each (rows, m, d) difference block in it (at
 # least one row, so a single row wider than the budget, m * d above it, still
-# makes one block); ``member_batch`` splits it into the few (g, left) slots
-# its coordinate sums need.
+# makes one block); ``member_batch`` splits it into two (g, left) slots, a
+# running sum and the next coordinate's terms.  Both kernels add coordinates
+# left to right, so they agree bit for bit.
 _CHUNK_BUDGET = 65_536
 
 
@@ -80,13 +81,15 @@ def _matrix(points, name: str = "points") -> np.ndarray:
 
 def _reduce(diffs: np.ndarray, norm: Norm) -> np.ndarray:
     # Norm along the last axis of an (..., d) difference array with at least
-    # two axes.  ``diffs`` is overwritten with its squares or absolute values,
-    # so callers hand over an array of their own.
-    if norm is Norm.L2:
-        sums = np.square(diffs, out=diffs).sum(axis=-1)
-        return np.sqrt(sums, out=sums)
-    np.abs(diffs, out=diffs)
-    return diffs.sum(axis=-1) if norm is Norm.L1 else diffs.max(axis=-1)
+    # two axes.  ``diffs`` is overwritten with its squares or absolute values
+    # and their running sums, so callers hand over an array of their own.
+    # ``cumsum`` (``add.accumulate``) adds left to right, as ``member_batch``
+    # does; ``sum`` would add in numpy's pairwise order from d = 8 up.
+    if norm is Norm.LINF:
+        return np.abs(diffs, out=diffs).max(axis=-1)
+    transform = np.square if norm is Norm.L2 else np.abs
+    sums = np.cumsum(transform(diffs, out=diffs), axis=-1, out=diffs)[..., -1]
+    return np.sqrt(sums, out=sums) if norm is Norm.L2 else sums
 
 
 def norm_eval(x, norm: Norm) -> float:
@@ -163,8 +166,8 @@ def _within(points: np.ndarray, centers: np.ndarray, norm: Norm, radius: float) 
 
     Each pair goes through the arithmetic of :func:`shape_values`
     (``points - centers``, then :func:`_reduce`).  :func:`member_batch`
-    reaches the same verdict on every pair (its coordinate sums equal
-    :func:`_reduce`'s bit for bit), so the two agree.
+    reaches the same verdict on every pair (both add the coordinates left
+    to right, so their sums are equal bit for bit), so the two agree.
     """
     return _reduce(points - centers, norm) <= radius
 
@@ -241,20 +244,20 @@ def member_batch(uset: UncertaintySet, points) -> np.ndarray:
     Points enter in blocks, each transposed once to ``(d, rows)``, and the
     pairs are scored one coordinate at a time: subtract, square (L2) or take
     the absolute value (L1, Linf) in place, then add (L1, L2) or take the
-    maximum (Linf).  The coordinates are combined in the order numpy's
-    pairwise summation adds them (see :func:`_sum_order`), so each pair's
-    sum equals :func:`_reduce`'s, and thus :func:`shape_values`'s, bit for
-    bit.  An L2 sum is compared with the largest double whose ``sqrt`` is at
-    or below the radius instead of taking the ``sqrt``: ``sqrt`` is monotone
-    and correctly rounded, so the verdict is the same.  Hence "some ball
-    holds the point" equals ``shape_values(...) <= radius`` bit for bit,
-    and a row with a NaN is never inside.
+    maximum (Linf).  The coordinates are combined left to right, as
+    :func:`_reduce` adds them, so each pair's sum equals
+    :func:`shape_values`'s bit for bit.  An L2 sum is compared with the
+    largest double whose ``sqrt`` is at or below the radius instead of
+    taking the ``sqrt``: ``sqrt`` is monotone and correctly rounded, so the
+    verdict is the same.  Hence "some ball holds the point" equals
+    ``shape_values(...) <= radius`` bit for bit, and a row with a NaN is
+    never inside.
 
     The scratch is allocated once per call: ``_CHUNK_BUDGET`` floats (fewer
-    for small inputs) split into the slots the summation order needs (two
-    below d = 8, four or five up to d = 128), and the transposed block,
-    with as many rows as one slot holds.  Neither grows with n or m; the
-    block grows with d.
+    for small inputs) split into two slots, the running sum and the next
+    coordinate's terms, and the transposed block, with as many rows as one
+    slot holds but at most ``16 * _CHUNK_BUDGET`` floats (the cap binds
+    above d = 32).  Neither grows with n or m.
     """
     points = _matrix(points, "points")
     centers, norm = uset.centers, uset.norm
@@ -269,13 +272,11 @@ def member_batch(uset: UncertaintySet, points) -> np.ndarray:
     else:
         transform, level = np.abs, uset.radius
         combine = np.add if norm is Norm.L1 else np.maximum
-    steps = _steps(_sum_order(0, d))
-    depth = 1 + max(slot for _, slot in steps)
     # A slot holds a whole block against one center, and no step holds
     # more than m + left - 1 pairs.
-    size = max(1, _CHUNK_BUDGET // depth)
-    rows = min(n, size)
-    scratch = np.empty((depth, min(size, rows + m - 1)))
+    size = max(1, _CHUNK_BUDGET // 2)
+    rows = min(n, size, max(1, 16 * _CHUNK_BUDGET // d))
+    scratch = np.empty((2, min(size, rows + m - 1)))
     by_axis = centers.T[:, :, np.newaxis]
     inside = np.zeros(n, dtype=bool)
     for first in range(0, n, rows):
@@ -285,81 +286,18 @@ def member_batch(uset: UncertaintySet, points) -> np.ndarray:
         while start < m and left.size:
             g = min(-(-m // left.size), scratch.shape[1] // left.size)
             cols = by_axis[:, start : start + g]
-            slots = scratch[:, : cols.shape[1] * left.size].reshape(depth, -1, left.size)
-            _accumulate(steps, slots, outside, cols, transform, combine)
-            hit = (slots[0] <= level).any(axis=0)
+            acc, term = scratch[:, : cols.shape[1] * left.size].reshape(2, -1, left.size)
+            transform(np.subtract(outside[0], cols[0], out=acc), out=acc)
+            for j in range(1, d):
+                transform(np.subtract(outside[j], cols[j], out=term), out=term)
+                combine(acc, term, out=acc)
+            hit = (acc <= level).any(axis=0)
             if hit.any():
                 inside[left[hit]] = True
                 miss = np.flatnonzero(~hit)
                 left, outside = left.take(miss), outside.take(miss, axis=1)
             start += g
     return inside
-
-
-def _fold(coords, node=None):
-    """Left-to-right sum tree over ``coords``, added onto ``node`` if given.
-
-    A tree is a coordinate index (a leaf) or a ``(left, right)`` pair whose
-    value is ``left + right``.
-    """
-    for j in coords:
-        node = j if node is None else (node, j)
-    return node
-
-
-def _sum_order(first: int, count: int):
-    """numpy's pairwise summation tree over ``count`` coordinates from ``first``.
-
-    ``a.sum(axis=-1)`` on a float array adds the terms of each row in this
-    order: one by one below 8 terms; up to 128 terms, eight lanes (lane k
-    adds terms k, k + 8, ...), a fixed tree over the lanes, then the
-    remaining ``count % 8`` terms one by one; above 128, the two halves
-    (the first a multiple of 8) separately, then their sums.  A test pins
-    this against numpy for every d up to 300.
-    """
-    if count < 8:
-        return _fold(range(first, first + count))
-    if count <= 128:
-        full = first + count - count % 8
-        lane = [_fold(range(first + k, full, 8)) for k in range(8)]
-        tree = (((lane[0], lane[1]), (lane[2], lane[3])), ((lane[4], lane[5]), (lane[6], lane[7])))
-        return _fold(range(full, first + count), tree)
-    half = count // 2 - count // 2 % 8
-    return (_sum_order(first, half), _sum_order(first + half, count - half))
-
-
-def _steps(tree, slot: int = 0) -> list:
-    """The tree as a stack program over numbered slots, result in ``slot``.
-
-    ``(j, s)`` writes coordinate j's term into slot s; ``(-1, s)`` combines
-    slot s + 1 into slot s.  A left spine takes no extra slot, so a fold
-    over any number of coordinates needs two.
-    """
-    spine = []
-    while isinstance(tree, tuple):
-        spine.append(tree[1])
-        tree = tree[0]
-    steps = [(tree, slot)]
-    for right in reversed(spine):
-        steps += _steps(right, slot + 1)
-        steps.append((-1, slot))
-    return steps
-
-
-def _accumulate(steps, slots, outside, cols, transform, combine) -> None:
-    """Run a :func:`_steps` program over (point, center) pairs.
-
-    ``outside`` holds the points by coordinate, ``(d, left)``, and ``cols``
-    the centers, ``(d, g, 1)``.  Coordinate j's term for every pair is
-    ``transform(outside[j] - cols[j])``, written in place into a ``(g,
-    left)`` slot; the result is left in ``slots[0]``.
-    """
-    for j, slot in steps:
-        out = slots[slot]
-        if j < 0:
-            combine(out, slots[slot + 1], out=out)
-        else:
-            transform(np.subtract(outside[j], cols[j], out=out), out=out)
 
 
 def _squared_level(radius: float) -> float:

@@ -1,6 +1,8 @@
 """Tests for norms, the nearest-center shape function, and set geometry."""
 
+import functools
 import math
+import operator
 import tracemalloc
 
 import numpy as np
@@ -218,30 +220,60 @@ class TestBlocks:
             tracemalloc.stop()
         assert peak < 4 * 2**20
 
+    def test_member_batch_block_is_bounded_at_high_dimension(self):
+        # 20k points in 300-D are 48 MB; the transposed block is capped at
+        # 16 * 64K floats (8 MB), and a step's take copies at most one more.
+        rng = np.random.default_rng(5)
+        centers = rng.normal(size=(3, 300))
+        points = rng.normal(size=(20_000, 300))
+        radius = float(np.median(shape_values(centers, Norm.L2, points[:500])))
+        uset = UncertaintySet(centers, radius, Norm.L2)
+        tracemalloc.start()
+        try:
+            member_batch(uset, points)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 20 * 2**20
 
-class TestSumOrder:
-    """``member_batch`` adds coordinates in the order ``ndarray.sum`` does."""
 
-    def test_plan_equals_numpy_sum_at_every_dimension(self):
-        # If a numpy release changes its summation order, this fails rather
-        # than member_batch and shape_values silently drifting apart.
+class TestLeftToRight:
+    """Both kernels add the coordinates of a pair left to right."""
+
+    @staticmethod
+    def left_fold(centers, norm, points):
+        # (n, m) distances from a Python left fold over per-coordinate terms.
+        transform = np.square if norm is Norm.L2 else np.abs
+        combine = np.maximum if norm is Norm.LINF else operator.add
+        terms = [transform(p[:, np.newaxis] - c) for p, c in zip(points.T, centers.T)]
+        sums = functools.reduce(combine, terms)
+        return np.sqrt(sums) if norm is Norm.L2 else sums
+
+    def test_both_kernels_equal_a_left_fold_at_every_dimension(self):
+        # Coordinates spread over six decades make the summation order show
+        # in the last bits from d = 8 up, where numpy's sum adds pairwise.
         rng = np.random.default_rng(15)
         for d in range(1, 301):
-            terms = 10.0 ** rng.uniform(-3, 3, size=(64, d))
-            steps = geometry._steps(geometry._sum_order(0, d))
-            slots = np.empty((1 + max(slot for _, slot in steps), 1, terms.shape[0]))
-            geometry._accumulate(steps, slots, terms.T, np.zeros((d, 1, 1)), np.abs, np.add)
-            np.testing.assert_array_equal(slots[0, 0], terms.sum(axis=-1), err_msg=f"d={d}")
-
-    def test_slots_stay_few(self):
-        # Two slots hold a sequential sum, four or five the eight-lane one
-        # (five once a lane adds two terms), and each split above 128 terms
-        # adds one.
-        depth = {
-            d: 1 + max(slot for _, slot in geometry._steps(geometry._sum_order(0, d)))
-            for d in (1, 2, 7, 8, 9, 16, 20, 128, 129, 256, 300)
-        }
-        assert depth == {1: 1, 2: 2, 7: 2, 8: 4, 9: 4, 16: 5, 20: 5, 128: 5, 129: 6, 256: 6, 300: 7}
+            centers = rng.normal(size=(3, d)) * 10.0 ** rng.uniform(-3, 3, size=d)
+            points = rng.normal(size=(16, d)) * 10.0 ** rng.uniform(-3, 3, size=d)
+            for norm in ALL_NORMS:
+                pairs = self.left_fold(centers, norm, points)
+                scores = pairs.min(axis=1)
+                values = shape_values(centers, norm, points)
+                np.testing.assert_array_equal(values, scores, err_msg=f"d={d}")
+                assert norm_eval(points[0] - centers[0], norm) == pairs[0, 0]
+                radius = float(np.sort(scores)[d % 16])
+                inside = member_batch(UncertaintySet(centers, radius, norm), points)
+                np.testing.assert_array_equal(inside, scores <= radius, err_msg=f"d={d}")
+                if d <= 7 or norm is Norm.LINF:
+                    # numpy's sum adds one by one below 8 terms, and a maximum
+                    # is order-free, so these scores are those of the pairwise
+                    # sum ``shape_values`` once used.
+                    transform = np.square if norm is Norm.L2 else np.abs
+                    diffs = transform(points[:, np.newaxis, :] - centers)
+                    old = diffs.max(-1) if norm is Norm.LINF else diffs.sum(-1)
+                    old = np.sqrt(old) if norm is Norm.L2 else old
+                    np.testing.assert_array_equal(scores, old.min(1), err_msg=f"d={d}")
 
 
 @st.composite
@@ -252,7 +284,8 @@ def sets_and_points(draw):
     point lies exactly on the radius; centers may repeat.
     """
     norm = draw(st.sampled_from(ALL_NORMS))
-    # Up to 40, so the eight-lane sums reach tails beyond 16 and 32 terms.
+    # Up to 40: from d = 8 up, numpy's ``sum`` would add in another order
+    # than a left-to-right fold, so both kernels must fold to agree.
     d = draw(st.integers(1, 40))
     m = draw(st.integers(1, 300))
     n = draw(st.integers(1, 200))
