@@ -143,11 +143,20 @@ def sample_size(alpha: float, epsilon: float, delta: float, lam: float) -> int:
     n_min = ceil( c(lambda, alpha, epsilon) * (2 / epsilon^2) * ln(2 / delta) )
 
     At this size each of the two failure probabilities is at most delta / 2
-    when the quantile level is alpha + lambda * epsilon.
+    when the quantile level is alpha + lambda * epsilon.  A plan too large
+    for a float (a subnormal delta, or an epsilon whose square underflows)
+    raises ValueError.
     """
     delta = _check_range("delta", delta, 0.0, 1.0)
     c = planning_constant(alpha, epsilon, lam)
-    return math.ceil(c * (2.0 / epsilon**2) * math.log(2.0 / delta))
+    eps_squared = float(epsilon) ** 2
+    plan = c * (2.0 / eps_squared) * math.log(2.0 / delta) if eps_squared else math.inf
+    if not math.isfinite(plan):
+        raise ValueError(
+            f"n_min overflows a float at epsilon={epsilon}, delta={delta}: "
+            "2 / epsilon^2 or 2 / delta is infinite"
+        )
+    return math.ceil(plan)
 
 
 @dataclass(frozen=True)

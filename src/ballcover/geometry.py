@@ -37,7 +37,10 @@ __all__ = [
 # least one row, so a single row wider than the budget, m * d above it, still
 # makes one block); ``member_batch`` splits it into two (g, left) slots, a
 # running sum and the next coordinate's terms.  Both kernels add coordinates
-# left to right, so they agree bit for bit.
+# left to right, so they agree bit for bit.  ``GaussianMixture._blocks``
+# draws blocks of half a budget of floats and transforms each in place with
+# two vectors of one block's length (a budget / d floats), so ``member_batch``
+# takes a drawn block in one piece.
 _CHUNK_BUDGET = 65_536
 
 
@@ -238,9 +241,15 @@ def member_batch(uset: UncertaintySet, points) -> np.ndarray:
     """Boolean membership for each row of an (n, d) array.
 
     A point is inside once one ball holds it, so the centers are walked in
-    their stored order and each step tests only the points still outside:
-    with ``left`` of them, a step takes the next ``ceil(m / left)`` centers,
-    capped so that its ``(g, left)`` pairs fit one slot of the scratch.
+    their stored order, a step taking the next ``ceil(m / left)`` centers
+    for the ``left`` points of the block, capped so that its ``(g, left)``
+    pairs fit one slot of the scratch.  A point found inside is marked done
+    but stays in the block until dropping it pays: the block is compacted
+    to the points still outside once ``dead * (centers to go) >= left``,
+    ``dead`` being the done points, that is once the pair tests they would
+    still take are at least one pass over the block.  After the last
+    center the done points are written without a compaction.  Testing a
+    point that is already inside changes no verdict.
     Points enter in blocks, each transposed once to ``(d, rows)``, and the
     pairs are scored one coordinate at a time: subtract, square (L2) or take
     the absolute value (L1, Linf) in place, then add (L1, L2) or take the
@@ -282,8 +291,9 @@ def member_batch(uset: UncertaintySet, points) -> np.ndarray:
     for first in range(0, n, rows):
         outside = points[first : first + rows].T.copy()
         left = np.arange(first, first + outside.shape[1])
+        done = np.zeros(left.size, dtype=bool)
         start = 0
-        while start < m and left.size:
+        while left.size:
             g = min(-(-m // left.size), scratch.shape[1] // left.size)
             cols = by_axis[:, start : start + g]
             acc, term = scratch[:, : cols.shape[1] * left.size].reshape(2, -1, left.size)
@@ -291,12 +301,16 @@ def member_batch(uset: UncertaintySet, points) -> np.ndarray:
             for j in range(1, d):
                 transform(np.subtract(outside[j], cols[j], out=term), out=term)
                 combine(acc, term, out=acc)
-            hit = (acc <= level).any(axis=0)
-            if hit.any():
-                inside[left[hit]] = True
-                miss = np.flatnonzero(~hit)
-                left, outside = left.take(miss), outside.take(miss, axis=1)
+            done |= (acc <= level).any(axis=0)
             start += g
+            if start >= m:
+                inside[left[done]] = True
+                break
+            if np.count_nonzero(done) * (m - start) >= left.size:
+                inside[left[done]] = True
+                keep = np.flatnonzero(~done)
+                left, outside = left.take(keep), outside.take(keep, axis=1)
+                done = np.zeros(left.size, dtype=bool)
     return inside
 
 

@@ -145,8 +145,9 @@ class GaussianMixture:
         """Draw n i.i.d. points: component counts, then mean + L z per row.
 
         Each block of :meth:`_blocks` is written into its own rows of the
-        output, so beyond the output the scratch memory is one block's
-        transform whatever n is, and no (n, d, d) copy of the factors is made.
+        output, so beyond the output the scratch memory is two vectors of
+        one block's length whatever n is, and no (n, d, d) copy of the
+        factors is made.
         """
         if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
             raise TypeError(f"n must be an integer, got {type(n).__name__}")
@@ -165,13 +166,16 @@ class GaussianMixture:
         contiguous rows ``edges[k]:edges[k+1]``, ``edges`` being the running
         sum of the counts from 0.  Every estimator treats a sample as an
         unordered set, so grouping the rows by component changes no law.
-        Then each block's standard normals are drawn straight into its rows
-        (block by block, the same bits as one (n, d) call), and each
-        component's slice of the block is set in place to
-        ``einsum("ij,nj->ni", factor, rows) + mean``, the per-row products
-        and sums of ``means[comp] + einsum("nij,nj->ni", factors[comp], z)``.
-        A block has ``_CHUNK_BUDGET // (2 * d)`` rows, so its normals and the
-        einsum's temporary fit one budget.
+        Then each block's standard normals ``z`` are drawn straight into its
+        rows (block by block, the same bits as one (n, d) call), and each
+        component's slice of the block is transformed in place, column
+        i = d-1 down to 0, to ``mean[i] + ((F[i,0]*z_0 + F[i,1]*z_1) + ...
+        + F[i,i]*z_i)`` with ``F`` its lower-triangular Cholesky factor: the
+        products are added left to right.  Column i reads only
+        ``z_0..z_i``, so overwriting the columns from the last one down
+        leaves every normal it needs in place.  The scratch is two vectors of
+        one block's length, the running sum and the next product.  A block
+        has ``_CHUNK_BUDGET // (2 * d)`` rows, half a budget of floats.
 
         Block i is written into its own rows of ``out``, an (n, d) array,
         when one is given.  Otherwise the blocks cycle through
@@ -185,6 +189,7 @@ class GaussianMixture:
         rng = stream.generator()
         edges = np.concatenate(([0], np.cumsum(rng.multinomial(n, self._weights))))
         buffers = None if out is not None else np.empty((_BLOCK_BUFFERS, min(n, block), d))
+        scratch = np.empty((2, min(n, block)))
         for i, start in enumerate(range(0, n, block)):
             stop = min(start + block, n)
             target = out[start:] if buffers is None else buffers[i % _BLOCK_BUFFERS]
@@ -192,7 +197,12 @@ class GaussianMixture:
             cuts = np.clip(edges, start, stop) - start
             for lo, hi, mean, factor in zip(cuts[:-1], cuts[1:], self._means, self._factors):
                 rows = z[lo:hi]
-                np.add(np.einsum("ij,nj->ni", factor, rows), mean, out=rows)
+                acc, term = scratch[:, : hi - lo]
+                for col in range(d - 1, -1, -1):
+                    np.multiply(factor[col, 0], rows[:, 0], out=acc)
+                    for j in range(1, col + 1):
+                        np.add(acc, np.multiply(factor[col, j], rows[:, j], out=term), out=acc)
+                    np.add(mean[col], acc, out=rows[:, col])
             yield z
 
     def density(self, u) -> float | np.ndarray:

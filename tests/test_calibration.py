@@ -136,6 +136,20 @@ class TestSampleSize:
         with pytest.raises(ValueError):
             sample_size(1.1, 0.05, 0.05, 0.3)
 
+    @pytest.mark.parametrize("delta", [1e-320, 5e-324, 1e-308])
+    def test_plan_beyond_a_float_is_a_value_error(self, delta):
+        # 2 / delta overflows for any delta below 2 / DBL_MAX (1.1e-308).
+        with pytest.raises(ValueError, match=f"n_min .*delta={delta}"):
+            sample_size(0.9, 0.05, delta, 0.3)
+
+    def test_underflowing_epsilon_is_a_value_error(self):
+        # 1e-200 squared is 0: the plan would divide by zero.
+        with pytest.raises(ValueError, match="n_min .*epsilon=1e-200"):
+            sample_size(0.9, 1e-200, 0.05, 0.3)
+
+    def test_smallest_normal_delta_still_plans(self):
+        assert sample_size(0.9, 0.05, 2.2250738585072014e-308, 0.3) > 0
+
     def test_planning_constant_is_max_of_branches(self):
         c = planning_constant(0.9, 0.05, 0.25)
         assert c == max((1 - 0.9) / 0.25**2, (0.9 + 0.05) / (1 - 0.25) ** 2)

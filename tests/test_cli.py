@@ -52,6 +52,12 @@ class TestSamplesize:
         assert main(["samplesize", "--delta", "2"]) == 2
         assert "delta" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("delta", ["1e-320", "5e-324"])
+    def test_subnormal_delta_exits_2(self, delta, capsys):
+        assert main(["samplesize", "--delta", delta]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: n_min ") and f"delta={float(delta)}" in err
+
     def test_unparseable_lambda_exits_2(self, capsys):
         assert main(["samplesize", "--lambda", "frog"]) == 2
         assert capsys.readouterr().err.startswith("error:")

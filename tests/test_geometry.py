@@ -276,6 +276,82 @@ class TestLeftToRight:
                     np.testing.assert_array_equal(scores, old.min(1), err_msg=f"d={d}")
 
 
+class TestDeferredCompaction:
+    """``member_batch`` drops the points it has found only when that saves work.
+
+    Found points stay in the block, and are tested again, until dropping
+    them costs less than the pair tests they would still take; after the
+    last center the found points are written without a drop.  Either way
+    each verdict is ``shape_values(...) <= radius``.
+    """
+
+    # (m, _CHUNK_BUDGET).  Budget 64 makes blocks of 32 points, so once fewer
+    # than m points are left a step takes g > 1 centers.  At m = 1000 it
+    # takes seconds (a step or so per center and block), so m <= 10 cover it.
+    SIZES = [(m, b) for m in (1, 2, 10, 1000) for b in (64, 4096, 65_536) if (m, b) != (1000, 64)]
+
+    @staticmethod
+    def assert_threshold(centers, points, radius=1.0):
+        for norm in ALL_NORMS:
+            uset = UncertaintySet(centers, radius, norm)
+            expected = shape_values(centers, norm, points) <= radius
+            np.testing.assert_array_equal(
+                member_batch(uset, points), expected, err_msg=norm.value
+            )
+
+    @staticmethod
+    def trickle(m, far, seed):
+        # Centers 10 apart on the first axis.  Point k sits 0.5 from center k
+        # and 9.5 from its neighbours, so each center finds one new point, in
+        # every norm; the ``far`` points lie outside every ball.
+        rng = np.random.default_rng(seed)
+        centers = np.zeros((m, 2))
+        centers[:, 0] = 10.0 * np.arange(m)
+        near = centers + [0.5, 0.0]
+        away = rng.uniform(-1.0, 1.0, size=(far, 2)) + [0.0, 100.0]
+        points = np.concatenate([near, away])
+        return centers, points[rng.permutation(len(points))]
+
+    @pytest.mark.parametrize("m, budget", SIZES)
+    @pytest.mark.parametrize("far", [0, 5, 300])
+    def test_hits_that_trickle_in(self, m, budget, far, monkeypatch):
+        monkeypatch.setattr(geometry, "_CHUNK_BUDGET", budget)
+        centers, points = self.trickle(m, far, seed=m + far)
+        self.assert_threshold(centers, points)
+        # The last center's point alone: only the last step finds it.
+        self.assert_threshold(centers, points[points[:, 0] == centers[-1, 0] + 0.5])
+
+    @pytest.mark.parametrize("m, budget", SIZES)
+    def test_a_block_no_ball_touches(self, m, budget, monkeypatch):
+        monkeypatch.setattr(geometry, "_CHUNK_BUDGET", budget)
+        centers, _ = self.trickle(m, 0, seed=m)
+        points = np.random.default_rng(m).uniform(-1.0, 1.0, size=(97, 2)) + [0.0, 100.0]
+        for norm in ALL_NORMS:
+            assert not member_batch(UncertaintySet(centers, 1.0, norm), points).any()
+
+    @pytest.mark.parametrize("m, budget", SIZES)
+    def test_every_point_inside_the_first_ball(self, m, budget, monkeypatch):
+        monkeypatch.setattr(geometry, "_CHUNK_BUDGET", budget)
+        centers, _ = self.trickle(m, 0, seed=m)
+        points = np.random.default_rng(m).uniform(-0.5, 0.5, size=(3001, 2))
+        for norm in ALL_NORMS:
+            assert member_batch(UncertaintySet(centers, 1.0, norm), points).all()
+
+    @pytest.mark.parametrize("m, budget", SIZES)
+    def test_mixed_random_sets(self, m, budget, monkeypatch):
+        # Centers at two scales: some points are found by the first step,
+        # some late, some never.
+        monkeypatch.setattr(geometry, "_CHUNK_BUDGET", budget)
+        rng = np.random.default_rng(7 * m)
+        centers = rng.normal(size=(m, 3)) * rng.choice([0.3, 3.0], size=(m, 1))
+        points = rng.normal(scale=2.0, size=(1009, 3))
+        for norm in ALL_NORMS:
+            scores = shape_values(centers, norm, points)
+            for radius in np.quantile(scores, [0.05, 0.5, 0.95]):
+                inside = member_batch(UncertaintySet(centers, radius, norm), points)
+                np.testing.assert_array_equal(inside, scores <= radius)
+
+
 @st.composite
 def sets_and_points(draw):
     """A set whose radius is one point's own score, plus points with NaN rows.

@@ -1,6 +1,9 @@
 """Tests for Gaussian mixtures, random streams, and the mass oracle."""
 
+import functools
+import hashlib
 import math
+import operator
 import tracemalloc
 
 import numpy as np
@@ -38,15 +41,40 @@ def correlated(d, k=3, seed=0):
 
 
 def gather_sample(mix, stream, n):
-    """Sampling by component counts, as an (n, d, d) gather: the reference formula.
+    """Sampling by component counts, as a per-row gather: the reference formula.
 
     One multinomial gives the counts, component k owns the next counts[k]
-    rows, and one (n, d) call gives every row's normals.
+    rows, and one (n, d) call gives every row's normals z.  Coordinate i of
+    a row is ``mean[i] + (F[i,0]*z_0 + ... + F[i,i]*z_i)``, with F the row's
+    Cholesky factor and the products added left to right.
     """
     rng = stream.generator()
     comp = np.repeat(np.arange(mix.num_components), rng.multinomial(n, mix.weights))
     z = rng.standard_normal((n, mix.dimension))
-    return mix.means[comp] + np.einsum("nij,nj->ni", mix._factors[comp], z)
+    out = np.empty_like(z)
+    for i in range(mix.dimension):
+        terms = [mix._factors[:, i, j][comp] * z[:, j] for j in range(i + 1)]
+        out[:, i] = mix.means[comp, i] + functools.reduce(operator.add, terms)
+    return out
+
+
+# SHA-256 of ``sample(RandomStream(0, 0), n).tobytes()`` for the bundled
+# 2-D mixtures, recorded when the sampler still used ``einsum``: a 2-D row
+# adds two products, in the same order either way.
+SAMPLE_DIGESTS = {
+    ("isotropic", 1): "9f531e23f9fd283ab09f389bc5b6312008199db2b296440bea72cfbf19f6c811",
+    ("isotropic", 16_383): "cabc2b006e5f328617a0c88847afcfaf31e2f8b2e850fe2cafc6862e8d1e6779",
+    ("isotropic", 16_384): "762f6a809901c98a879619caa6edefdcc604928b6f2b126a8ba6b45d7751ca82",
+    ("isotropic", 100_003): "5b16a584f121952ed90ff2014a944ead6bead057593d4f0b96a1ea44ee7962de",
+    ("peaked", 1): "9e2b0cdd334dd27b92e727529eb6d56bedcc8564e4314bd62b5ca6fd8bb9978c",
+    ("peaked", 16_383): "e8277b354eda025a4f62e3343e48b2eb1ec14b97632636a55f8920c1cc3da9b9",
+    ("peaked", 16_384): "62fbf450f2572d60bff4032618eeb98a743770fbcfd5411ef620848e3bf0512e",
+    ("peaked", 100_003): "6360c46f2b88d420d0dde8bbbe306c4891b47d726b8e2538804761faa407b5f3",
+    ("fourmode", 1): "1bbff76d0971c9e554b51a2c703ffcbebefc4fd60bb9cfaa15ebf260148e1174",
+    ("fourmode", 16_383): "73dec95fbd0a1b29f52e052861f4e70faea462df8b46486c404f191f6f7fc97a",
+    ("fourmode", 16_384): "8206ee75f6fdfb2ec7b9cc9457596e181d3cc6bd9830fd73e54fcc741e14d27a",
+    ("fourmode", 100_003): "834d504772e6f9c0c9f6b5dba04d64491036a7e1a2af7b42934b872530bc992c",
+}
 
 
 class TestConstruction:
@@ -200,6 +228,11 @@ class TestSampling:
                 mix.sample(stream, n), gather_sample(mix, stream, n)
             )
 
+    @pytest.mark.parametrize("name, n", sorted(SAMPLE_DIGESTS))
+    def test_two_dimensional_draws_are_pinned(self, name, n):
+        points = bundled_mixture(name).sample(RandomStream(0, 0), n)
+        assert hashlib.sha256(points.tobytes()).hexdigest() == SAMPLE_DIGESTS[name, n]
+
     @pytest.mark.parametrize(
         "mix",
         [bundled_mixture(name) for name in ("isotropic", "peaked", "fourmode")]
@@ -207,7 +240,8 @@ class TestSampling:
         ids=["isotropic", "peaked", "fourmode", "d5"],
     )
     def test_sample_equals_the_streamed_blocks(self, mix):
-        # The streamed blocks reuse two buffers, so each is copied as it comes.
+        # The streamed blocks cycle three reused buffers, so each is copied
+        # as it comes.
         block = _CHUNK_BUDGET // (2 * mix.dimension)
         for n in (1, block - 1, block, block + 1, 100_003):
             stream = RandomStream(2, n)
@@ -282,9 +316,9 @@ class TestSampling:
         ids=["peaked", "fourmode", "d3"],
     )
     def test_scratch_memory_is_one_block(self, mix):
-        # Beyond its output the sampler keeps one block's transform (half a
-        # _CHUNK_BUDGET of floats) and einsum's buffer, whatever n is; one
-        # byte a draw would already pass the bound at 2M draws.
+        # Beyond its output the sampler keeps two vectors of one block's
+        # length (together half a _CHUNK_BUDGET of floats in 2-D), whatever n
+        # is; one byte a draw would already pass the bound at 2M draws.
         for n in (200_000, 2_000_000):
             tracemalloc.start()
             try:
