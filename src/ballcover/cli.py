@@ -61,8 +61,16 @@ def _print_json(payload: dict) -> None:
     sys.stdout.write(_dump_json(payload))
 
 
+def _read_json(path) -> object:
+    """Parse a JSON file; nesting too deep to parse is a ``ValueError``."""
+    try:
+        return json.loads(Path(path).read_text())
+    except RecursionError:
+        raise ValueError(f"{path}: JSON is nested too deeply") from None
+
+
 def _load_config(path: str, command: str) -> dict:
-    data = json.loads(Path(path).read_text())
+    data = _read_json(path)
     if not isinstance(data, dict):
         raise ValueError("config file must hold a JSON object")
     if "command" in data and "config" in data:
@@ -367,7 +375,7 @@ def _cmd_solve(config: dict, args) -> int:
     if config["bundled_example"]:
         model = bundled_example()
     else:
-        model = RobustLinearProgram.from_dict(json.loads(Path(config["model"]).read_text()))
+        model = RobustLinearProgram.from_dict(_read_json(config["model"]))
     report = solve_robust(model)
     payload = report.to_dict()
     out = _out_dir(args)

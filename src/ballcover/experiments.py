@@ -22,7 +22,7 @@ from .geometry import (
     DimensionError,
     Norm,
     UncertaintySet,
-    _within,
+    _pair_rule,
     member_batch,
 )
 from .mixtures import _BLOCK_BUFFERS, GaussianMixture, RandomStream
@@ -264,11 +264,14 @@ def run_role_of_m_study(
     hit fraction times box volume; the estimator standard error is
     box_volume * sqrt(p(1-p)/volume_samples)).  For 2-D mixtures each
     entry also carries a raster of the set on that box, unless
-    ``raster_resolution`` is 0.  Both counts are checked before any m is
-    sampled.
+    ``raster_resolution`` is 0.  Both counts and every m are checked before
+    any m is sampled.
     """
     _check_count("volume_samples", volume_samples)
     _check_count("raster_resolution", raster_resolution, zero_ok=True)
+    m_values = list(m_values)
+    for m in m_values:
+        _check_count("m_values entry", m)
     entries = []
     for j, m in enumerate(m_values):
         shape = mixture.sample(RandomStream(seed, 3 * j), int(m))
@@ -330,42 +333,40 @@ def raster_set(uset: UncertaintySet, bbox, resolution: int) -> np.ndarray:
     """Boolean membership grid over cell centers; row 0 is the top row.
 
     Each ball is stamped onto its own window of cells (see :func:`_windows`)
-    instead of testing every cell against every center.  A cell outside a
-    ball's window lies a full cell beyond ``center +- radius`` along one
-    axis, so it is outside that ball in every p-norm (unless the cells are
-    only a few ulps wide); inside the window each (cell, center) pair is
-    tested with the arithmetic of :func:`~ballcover.geometry.shape_values`,
-    which adds a pair's coordinates left to right, as
-    :func:`~ballcover.geometry.member_batch` does, so the two reach the
-    same verdict pair by pair.  The grid therefore equals ``member_batch(uset,
+    instead of testing every cell against every center.  In the window, one
+    transformed x difference per column is combined with one transformed y
+    difference per row: :func:`~ballcover.geometry._pair_rule` in
+    :func:`~ballcover.geometry.member_batch`'s order.  A cell outside the
+    window lies a full cell beyond ``center +- radius`` along one axis, so
+    that axis's term alone exceeds the level (unless the cells are only a
+    few ulps wide).  The grid therefore equals ``member_batch(uset,
     cell_centers)`` bit for bit, at a cost that grows with the number of
-    balls times the cells one ball covers rather than times all cells.
+    balls times the cells one ball covers.
     """
     if uset.dimension != 2:
-        raise DimensionError(
-            f"rasters need a 2-D set, got {uset.dimension} dimensions"
-        )
+        raise DimensionError(f"rasters need a 2-D set, got {uset.dimension} dimensions")
     xs, ys = _cell_centers(bbox, resolution)
     centers, radius = uset.centers, uset.radius
+    transform, combine, level = _pair_rule(uset.norm, radius)
     col_start, cols = _windows(xs, centers[:, 0], radius)
     # ys falls down the rows; its negation rises, as searchsorted needs.
     row_start, rows = _windows(-ys, -centers[:, 1], radius)
     grid = np.zeros((ys.size, xs.size), dtype=bool)
-    # Keep each (balls, rows, cols, 2) block of cell coordinates under the
+    # Keep each (balls, rows, cols) block of pair sums within half the
     # kernel's budget; a window as large as the grid is cut into row bands.
     band = max(1, min(rows, _CHUNK_BUDGET // (2 * cols)))
     chunk = max(1, _CHUNK_BUDGET // (2 * band * cols))
     for first in range(0, uset.num_balls, chunk):
         batch = slice(first, first + chunk)
-        ball = centers[batch, np.newaxis, np.newaxis, :]
-        window_cols = col_start[batch, np.newaxis, np.newaxis] + np.arange(cols)
+        col = col_start[batch, np.newaxis, np.newaxis] + np.arange(cols)
+        across = transform(xs[col] - centers[batch, :1, np.newaxis])
+        window_rows = row_start[batch, np.newaxis, np.newaxis] + np.arange(rows)[:, np.newaxis]
         for top in range(0, rows, band):
-            band_rows = np.arange(top, min(top + band, rows))[:, np.newaxis]
-            row, col = np.broadcast_arrays(
-                row_start[batch, np.newaxis, np.newaxis] + band_rows, window_cols
-            )
-            hits = _within(np.stack([xs[col], ys[row]], axis=-1), ball, uset.norm, radius)
-            grid[row[hits], col[hits]] = True
+            row = window_rows[:, top : top + band]
+            hits = combine(across, transform(ys[row] - centers[batch, 1:, np.newaxis])) <= level
+            grid[
+                np.broadcast_to(row, hits.shape)[hits], np.broadcast_to(col, hits.shape)[hits]
+            ] = True
     return grid
 
 

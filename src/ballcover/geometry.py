@@ -36,11 +36,11 @@ __all__ = [
 # cache.  ``shape_values`` fits each (rows, m, d) difference block in it (at
 # least one row, so a single row wider than the budget, m * d above it, still
 # makes one block); ``member_batch`` splits it into two (g, left) slots, a
-# running sum and the next coordinate's terms.  Both kernels add coordinates
-# left to right, so they agree bit for bit.  ``GaussianMixture._blocks``
-# draws blocks of half a budget of floats and transforms each in place with
-# two vectors of one block's length (a budget / d floats), so ``member_batch``
-# takes a drawn block in one piece.
+# running sum and the next coordinate's terms; ``raster_set`` keeps each
+# (balls, rows, cols) block of pair sums in half of it.  All fold a pair by
+# ``_pair_rule``.  ``GaussianMixture._blocks`` draws blocks of half a budget
+# of floats and transforms each in place with two vectors of one block's
+# length (a budget / d floats), so ``member_batch`` takes a drawn block whole.
 _CHUNK_BUDGET = 65_536
 
 
@@ -82,22 +82,11 @@ def _matrix(points, name: str = "points") -> np.ndarray:
     return arr
 
 
-def _reduce(diffs: np.ndarray, norm: Norm) -> np.ndarray:
-    # Norm along the last axis of an (..., d) difference array with at least
-    # two axes.  ``diffs`` is overwritten with its squares or absolute values
-    # and their running sums, so callers hand over an array of their own.
-    # ``cumsum`` (``add.accumulate``) adds left to right, as ``member_batch``
-    # does; ``sum`` would add in numpy's pairwise order from d = 8 up.
-    if norm is Norm.LINF:
-        return np.abs(diffs, out=diffs).max(axis=-1)
-    transform = np.square if norm is Norm.L2 else np.abs
-    sums = np.cumsum(transform(diffs, out=diffs), axis=-1, out=diffs)[..., -1]
-    return np.sqrt(sums, out=sums) if norm is Norm.L2 else sums
-
-
 def norm_eval(x, norm: Norm) -> float:
-    """Evaluate ||x||_p for p in {1, 2, inf}."""
-    return float(_reduce(np.array(_vector(x), ndmin=2), norm)[0])
+    """Evaluate ||x||_p for p in {1, 2, inf}, folding the coordinates left to right."""
+    transform, combine, _ = _pair_rule(norm, 0.0)
+    total = float(combine.accumulate(transform(_vector(x)))[-1])
+    return math.sqrt(total) if norm is Norm.L2 else total
 
 
 def dual_norm_eval(x, norm: Norm) -> float:
@@ -142,10 +131,10 @@ def shape_values(centers, norm: Norm, points) -> np.ndarray:
 
     Points are scored in blocks whose ``(rows, m, d)`` difference array
     holds at most ``_CHUNK_BUDGET`` floats (at least one row), so the
-    scratch memory does not grow with n.  Each block is reduced in place
-    and its minima are written straight into the output.  Each pair's
-    arithmetic is the same in every block, so the result does not depend
-    on the block size.
+    scratch memory does not grow with n.  Each block is reduced in place,
+    its pairs folded as :func:`_pair_rule` folds them, so
+    ``shape_values(...) <= radius`` is the rule's verdict whatever the
+    block size, and its minima are written straight into the output.
     """
     centers = _matrix(centers, "centers")
     points = _matrix(points, "points")
@@ -155,24 +144,19 @@ def shape_values(centers, norm: Norm, points) -> np.ndarray:
             f"points are {points.shape[1]}-D"
         )
     m, d = centers.shape
+    transform = _pair_rule(norm, 0.0)[0]
     out = np.empty(points.shape[0])
     chunk = max(1, _CHUNK_BUDGET // (m * d))
     for start in range(0, points.shape[0], chunk):
         block = points[start : start + chunk]
         diffs = block[:, np.newaxis, :] - centers[np.newaxis, :, :]
-        _reduce(diffs, norm).min(axis=1, out=out[start : start + block.shape[0]])
+        transform(diffs, out=diffs)
+        # ``cumsum`` adds left to right; ``sum`` would add pairwise from d = 8 up.
+        dists = diffs.max(axis=-1) if norm is Norm.LINF else diffs.cumsum(-1, out=diffs)[..., -1]
+        if norm is Norm.L2:
+            np.sqrt(dists, out=dists)
+        dists.min(axis=1, out=out[start : start + block.shape[0]])
     return out
-
-
-def _within(points: np.ndarray, centers: np.ndarray, norm: Norm, radius: float) -> np.ndarray:
-    """``||points - centers||_p <= radius`` over broadcast (..., d) arrays.
-
-    Each pair goes through the arithmetic of :func:`shape_values`
-    (``points - centers``, then :func:`_reduce`).  :func:`member_batch`
-    reaches the same verdict on every pair (both add the coordinates left
-    to right, so their sums are equal bit for bit), so the two agree.
-    """
-    return _reduce(points - centers, norm) <= radius
 
 
 @dataclass(frozen=True)
@@ -251,16 +235,10 @@ def member_batch(uset: UncertaintySet, points) -> np.ndarray:
     center the done points are written without a compaction.  Testing a
     point that is already inside changes no verdict.
     Points enter in blocks, each transposed once to ``(d, rows)``, and the
-    pairs are scored one coordinate at a time: subtract, square (L2) or take
-    the absolute value (L1, Linf) in place, then add (L1, L2) or take the
-    maximum (Linf).  The coordinates are combined left to right, as
-    :func:`_reduce` adds them, so each pair's sum equals
-    :func:`shape_values`'s bit for bit.  An L2 sum is compared with the
-    largest double whose ``sqrt`` is at or below the radius instead of
-    taking the ``sqrt``: ``sqrt`` is monotone and correctly rounded, so the
-    verdict is the same.  Hence "some ball holds the point" equals
-    ``shape_values(...) <= radius`` bit for bit, and a row with a NaN is
-    never inside.
+    pairs are scored one coordinate at a time by :func:`_pair_rule`:
+    subtract, transform in place, and fold into the running result.  Hence
+    "some ball holds the point" equals ``shape_values(...) <= radius`` bit
+    for bit, and a row with a NaN is never inside.
 
     The scratch is allocated once per call: ``_CHUNK_BUDGET`` floats (fewer
     for small inputs) split into two slots, the running sum and the next
@@ -276,11 +254,7 @@ def member_batch(uset: UncertaintySet, points) -> np.ndarray:
             f"dimension mismatch: set is {d}-D, points are {points.shape[1]}-D"
         )
     n = points.shape[0]
-    if norm is Norm.L2:
-        transform, combine, level = np.square, np.add, _squared_level(uset.radius)
-    else:
-        transform, level = np.abs, uset.radius
-        combine = np.add if norm is Norm.L1 else np.maximum
+    transform, combine, level = _pair_rule(norm, uset.radius)
     # A slot holds a whole block against one center, and no step holds
     # more than m + left - 1 pairs.
     size = max(1, _CHUNK_BUDGET // 2)
@@ -312,6 +286,22 @@ def member_batch(uset: UncertaintySet, points) -> np.ndarray:
                 left, outside = left.take(keep), outside.take(keep, axis=1)
                 done = np.zeros(left.size, dtype=bool)
     return inside
+
+
+def _pair_rule(norm: Norm, radius: float):
+    """The per-pair rule: (u, c) is inside iff ``||u - c||_p <= radius``.
+
+    Returns ``(transform, combine, level)``: each difference ``u_k - c_k``
+    is transformed (``np.square`` for L2, ``np.abs`` otherwise), the results
+    are folded left to right by ``combine`` (``np.add``, ``np.maximum`` for
+    Linf), and the pair is inside iff the fold is at most ``level``.  That
+    is the radius, except for L2: there it is the largest double whose
+    ``sqrt`` is at most the radius, so ``fold <= level`` iff ``sqrt(fold)
+    <= radius``, as ``sqrt`` is monotone and correctly rounded.
+    """
+    if norm is Norm.L2:
+        return np.square, np.add, _squared_level(radius)
+    return np.abs, np.add if norm is Norm.L1 else np.maximum, radius
 
 
 def _squared_level(radius: float) -> float:

@@ -31,6 +31,12 @@ def quiet_main(argv):
 CAL_ARGS = ["--mixture", "peaked", "--m", "6", "--n", "50", "--advisory", "--seed", "3"]
 
 
+def write_deep_json(path):
+    """A JSON array nested past the parser's recursion limit."""
+    path.write_text("[" * 200_000 + "]" * 200_000)
+    return str(path)
+
+
 class TestSamplesize:
     def test_default_payload(self, capsys):
         assert main(["samplesize"]) == 0
@@ -506,6 +512,13 @@ class TestSolve:
         assert capsys.readouterr().err.startswith("error:")
         assert not (tmp_path / "report.json").exists()
 
+    def test_deeply_nested_model_exits_2(self, tmp_path, capsys):
+        model = write_deep_json(tmp_path / "model.json")
+        rc = main(["solve", "--model", model, "--out-dir", str(tmp_path / "out")])
+        assert rc == 2
+        assert "nested too deeply" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_badly_scaled_rows_exit_0(self, tmp_path, capsys):
         # x >= 1e10 through a row whose only coefficient is 3e-10.
         model = {
@@ -603,6 +616,14 @@ class TestConfigResolution:
         assert f"config key {key!r}" in captured.err
         assert captured.out == ""
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["samplesize", "calibrate", "solve"])
+    def test_deeply_nested_config_exits_2(self, tmp_path, capsys, command):
+        cfg = write_deep_json(tmp_path / "cfg.json")
+        assert main([command, "--config", cfg]) == 2
+        captured = capsys.readouterr()
+        assert "nested too deeply" in captured.err
+        assert captured.out == ""
 
     def test_missing_config_file_exits_2(self, capsys):
         assert main(["samplesize", "--config", "/nonexistent/cfg.json"]) == 2

@@ -36,7 +36,6 @@ from ballcover.geometry import (
     DimensionError,
     Norm,
     UncertaintySet,
-    _within,
     member_batch,
     shape_values,
 )
@@ -498,12 +497,17 @@ class TestRasterSet:
         np.testing.assert_allclose(grid.max(), 1.0 / (2.0 * math.pi), rtol=1e-12)
 
 
-def brute_force_raster(uset, bbox, resolution):
-    """``member_batch`` on every cell center, row 0 at the top of the box."""
+def brute_force_cells(bbox, resolution):
+    """Every cell center, row by row from the top of the box."""
     (xmin, xmax), (ymin, ymax) = bbox
     offsets = (np.arange(resolution) + 0.5) / resolution
     grid_x, grid_y = np.meshgrid(xmin + offsets * (xmax - xmin), ymax - offsets * (ymax - ymin))
-    cells = np.column_stack([grid_x.ravel(), grid_y.ravel()])
+    return np.column_stack([grid_x.ravel(), grid_y.ravel()])
+
+
+def brute_force_raster(uset, bbox, resolution):
+    """``member_batch`` on every cell center, row 0 at the top of the box."""
+    cells = brute_force_cells(bbox, resolution)
     return member_batch(uset, cells).reshape(resolution, resolution)
 
 
@@ -577,21 +581,17 @@ class TestRasterMatchesMemberBatch:
         np.testing.assert_array_equal(grid, brute_force_raster(uset, bbox, 16))
 
     @ALL_NORMS
-    def test_window_covering_the_grid_stays_under_the_chunk_budget(self, norm, monkeypatch):
-        blocks = []
-
-        def recording_within(points, centers, *args):
-            blocks.append(np.broadcast_shapes(points.shape, centers.shape))
-            return _within(points, centers, *args)
-
-        monkeypatch.setattr(experiments, "_within", recording_within)
+    def test_window_covering_the_grid_stays_under_the_chunk_budget(self, norm):
+        # Every window is the whole 1024 x 1024 grid, cut into row bands.
         uset = UncertaintySet([[0.0, 0.0], [0.3, -0.4], [-2.0, 2.0]], 1.5, norm)
         bbox = ((-1.0, 1.0), (-1.0, 1.0))
-        grid = raster_set(uset, bbox, 1024)
-        assert max(math.prod(shape) for shape in blocks) <= _CHUNK_BUDGET
-        # Every window is the whole 1024 x 1024 grid, cut into row bands.
-        assert all(shape[2] == 1024 for shape in blocks)
-        assert sum(shape[0] * shape[1] for shape in blocks) == 3 * 1024
+        tracemalloc.start()
+        try:
+            grid = raster_set(uset, bbox, 1024)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - grid.nbytes <= 2 * 8 * _CHUNK_BUDGET
         np.testing.assert_array_equal(grid, brute_force_raster(uset, bbox, 1024))
 
     @settings(max_examples=60, deadline=None, database=None)
@@ -600,15 +600,22 @@ class TestRasterMatchesMemberBatch:
         m=st.integers(1, 30),
         resolution=st.integers(1, 40),
         norm=st.sampled_from(list(Norm)),
+        offset=st.floats(-1e8, 1e8),
     )
-    def test_random_sets_and_boxes(self, seed, m, resolution, norm):
+    def test_random_sets_and_boxes(self, seed, m, resolution, norm, offset):
+        # The third radius puts a cell center on the first ball's boundary,
+        # where ``c +- r`` may round to just short of the cell and only the
+        # one-cell margin of the windows keeps it tested.  The offset moves
+        # the whole case up to 1e8 from the origin.
         rng = np.random.default_rng(seed)
-        uset = UncertaintySet(
-            rng.normal(scale=2.0, size=(m, 2)), float(rng.choice([0.0, rng.exponential()])), norm
-        )
-        corner = rng.uniform(-4.0, 2.0, size=2)
+        centers = offset + rng.normal(scale=2.0, size=(m, 2))
+        corner = offset + rng.uniform(-4.0, 2.0, size=2)
         side = rng.uniform(0.01, 6.0, size=2)
         bbox = ((corner[0], corner[0] + side[0]), (corner[1], corner[1] + side[1]))
+        cell = brute_force_cells(bbox, resolution)[rng.integers(resolution**2)]
+        boundary = shape_values(centers[:1], norm, cell)[0]
+        radius = float(rng.choice([0.0, rng.exponential(), boundary]))
+        uset = UncertaintySet(centers, radius, norm)
         np.testing.assert_array_equal(
             raster_set(uset, bbox, resolution), brute_force_raster(uset, bbox, resolution)
         )
@@ -701,13 +708,19 @@ class TestRoleOfMStudy:
                 volume_samples=volume_samples,
             )
 
-    @pytest.mark.parametrize("resolution", [-1, True, 2.5, "64"])
-    def test_raster_resolution_is_checked_before_any_sampling(self, monkeypatch, resolution):
+    @pytest.mark.parametrize(
+        "m_values, resolution, name",
+        [([1000, 2000], bad, "raster_resolution") for bad in (-1, True, 2.5, "64")]
+        + [([1000, bad], 64, "m_values") for bad in (0, 2.5, True, "3", None)],
+    )
+    def test_counts_are_checked_before_any_sampling(
+        self, monkeypatch, m_values, resolution, name
+    ):
         mix = bundled_mixture("fourmode")
 
         def no_sampling(*args, **kwargs):
-            raise AssertionError("sampled before the raster resolution was checked")
+            raise AssertionError(f"sampled before {name} was checked")
 
         monkeypatch.setattr(GaussianMixture, "sample", no_sampling)
-        with pytest.raises(ValueError, match="raster_resolution"):
-            run_role_of_m_study(mix, quick_spec(), [1000, 2000], raster_resolution=resolution)
+        with pytest.raises(ValueError, match=name):
+            run_role_of_m_study(mix, quick_spec(), m_values, raster_resolution=resolution)
