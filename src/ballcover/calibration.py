@@ -17,11 +17,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import DimensionError, Norm, UncertaintySet, shape_values
+from .geometry import Norm, UncertaintySet, _matrix, shape_values
 
 __all__ = [
     "CalibrationSpec",
-    "TrainingScores",
     "UndersampledError",
     "UndersampledWarning",
     "calibrate_radius",
@@ -49,38 +48,6 @@ def _check_range(name: str, value: float, lo: float, hi: float) -> float:
     return value
 
 
-class TrainingScores:
-    """An immutable batch of real-valued scores (nearest-center distances).
-
-    Scores must be non-empty and finite: NaN would break the total order of
-    the sort, and an infinite score could become an infinite radius.
-    The sorted copy is cached because every quantile query needs it.
-    """
-
-    __slots__ = ("values", "sorted_values")
-
-    def __init__(self, values) -> None:
-        arr = np.asarray(values, dtype=float)
-        if arr.ndim != 1:
-            raise ValueError(f"scores must be 1-D, got shape {arr.shape}")
-        if arr.size == 0:
-            raise ValueError("scores must be non-empty")
-        if not np.isfinite(arr).all():
-            raise ValueError("scores must be finite (no NaN or inf)")
-        values_arr = arr.copy()
-        values_arr.setflags(write=False)
-        sorted_arr = np.sort(arr)
-        sorted_arr.setflags(write=False)
-        object.__setattr__(self, "values", values_arr)
-        object.__setattr__(self, "sorted_values", sorted_arr)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("TrainingScores is immutable")
-
-    def __len__(self) -> int:
-        return int(self.values.size)
-
-
 def _quantile_rank(n: int, gamma: float) -> int:
     """The smallest rank k with k / n >= gamma, as computed in floats."""
     k = math.ceil(n * gamma)
@@ -95,21 +62,26 @@ def _quantile_rank(n: int, gamma: float) -> int:
     return k
 
 
-def empirical_quantile(scores: TrainingScores, gamma: float) -> float:
-    """Level-``gamma`` empirical quantile of the scores.
+def empirical_quantile(scores, gamma: float) -> float:
+    """Level-``gamma`` empirical quantile of a 1-D array of scores.
 
     Returns the k-th smallest score for the smallest k with k / n >= gamma
     (ceil(n * gamma) unless that product rounds across an integer), which
     equals inf{z : F_n(z) >= gamma} for the empirical distribution function F_n.
-    Duplicate scores occupy consecutive ranks.
-
-    Parameters
-    ----------
-    scores : TrainingScores
-    gamma : float in (0, 1)
+    Duplicate scores occupy consecutive ranks.  Scores must be non-empty and
+    finite: NaN has no rank, and an infinite score could become an infinite
+    radius.  The caller's array is not reordered.
     """
     gamma = _check_range("gamma", gamma, 0.0, 1.0)
-    return float(scores.sorted_values[_quantile_rank(len(scores), gamma) - 1])
+    scores = np.asarray(scores, dtype=float)
+    if scores.ndim != 1:
+        raise ValueError(f"scores must be 1-D, got shape {scores.shape}")
+    if scores.size == 0:
+        raise ValueError("scores must be non-empty")
+    if not np.isfinite(scores).all():
+        raise ValueError("scores must be finite (no NaN or inf)")
+    k = _quantile_rank(scores.size, gamma)
+    return float(np.partition(scores, k - 1)[k - 1])
 
 
 def optimal_lambda(alpha: float, epsilon: float) -> float:
@@ -216,11 +188,7 @@ def calibrate_radius(
     :class:`UndersampledError`, advisory mode (``strict=False``) issues an
     :class:`UndersampledWarning` and proceeds.
     """
-    training = np.asarray(training, dtype=float)
-    if training.ndim == 1 and training.size > 0:
-        training = training[np.newaxis, :]
-    if training.ndim != 2 or training.shape[0] == 0:
-        raise DimensionError("training must be a non-empty (n, d) array")
+    training = _matrix(training, "training")
     n = training.shape[0]
     if n < spec.n_min:
         message = (
@@ -231,8 +199,7 @@ def calibrate_radius(
         if strict:
             raise UndersampledError(message)
         warnings.warn(message, UndersampledWarning, stacklevel=2)
-    scores = TrainingScores(shape_values(centers, norm, training))
-    radius = empirical_quantile(scores, spec.alpha_n)
+    radius = empirical_quantile(shape_values(centers, norm, training), spec.alpha_n)
     return UncertaintySet(np.asarray(centers, dtype=float), radius, norm)
 
 

@@ -319,10 +319,13 @@ def worst_case_linear(uset: UncertaintySet, x) -> float:
 
     Over a single ball the maximum is x . center + radius * ||x||_dual;
     over the union it is the best center plus the same radius term.
+    A non-finite x raises ValueError.
     """
     x = _vector(x)
     if x.size != uset.dimension:
         raise DimensionError(
             f"dimension mismatch: x is {x.size}-D, set is {uset.dimension}-D"
         )
+    if not np.isfinite(x).all():
+        raise ValueError("x must be finite")
     return float(np.max(uset.centers @ x) + uset.radius * dual_norm_eval(x, uset.norm))

@@ -234,7 +234,7 @@ def _substitution(bounds, dim: int) -> tuple[np.ndarray, np.ndarray]:
     A free variable takes two columns, ``x_j = y_p - y_q``; any other
     takes one, measured up from its lower bound or, with only an upper
     bound, down from that.  The upper side of a two-sided bound is left to
-    an ordinary row ``x_j <= upper`` of :func:`_relaxation`.
+    an ordinary row ``x_j <= upper`` of :class:`_Relaxation`.
     """
     columns: list[tuple[int, float]] = []
     shift = np.zeros(dim)
@@ -254,62 +254,74 @@ def _substitution(bounds, dim: int) -> tuple[np.ndarray, np.ndarray]:
     return lift, shift
 
 
-def _relaxation(rlp: RobustLinearProgram) -> tuple[np.ndarray, np.ndarray, dict[Norm, int]]:
-    """The base LP rows over ``[x | t per norm in use | s]``, their
-    right-hand sides, and the column ``t`` of each ball norm in use.
+class _Relaxation:
+    """The LP that :func:`solve` grows, over ``[y | t per norm in use | s]``.
 
-    In order: the deterministic rows, ``x_j <= upper`` for each two-sided
-    bound, the epigraph rows, and one row ``center . x + radius * t <= b``
-    per robust center.  The L1 epigraph (dual: max norm) is ``t >= |x_j|``;
-    the LINF epigraph (dual: sum norm) is ``s_j >= |x_j|`` and
-    ``sum(s) <= t``.  The L2 epigraph starts with no rows; the cuts of
-    :func:`solve` build it, so an L2 relaxation may be unbounded.
+    ``x = lift @ y + shift`` (see :func:`_substitution`) and ``t_col`` maps
+    each ball norm in use to its column ``t``.  The base rows are, in order:
+    the deterministic rows, ``x_j <= upper`` for each two-sided bound, the
+    epigraph rows, and one row ``center . x + radius * t <= b`` per robust
+    center.  The L1 epigraph (dual: max norm) is ``t >= |x_j|``; the LINF
+    epigraph (dual: sum norm) is ``s_j >= |x_j|`` and ``sum(s) <= t``.  The
+    L2 epigraph starts with no rows; the cuts of :func:`solve` build it, so
+    an L2 relaxation may be unbounded.
     """
-    dim = rlp.num_variables
-    norms = [
-        norm
-        for norm in Norm
-        if any(row.uncertainty_set.norm is norm for row in rlp.robust_rows)
-    ]
-    num_s = dim if Norm.LINF in norms else 0
-    width = dim + len(norms) + num_s
-    t_col = {norm: dim + k for k, norm in enumerate(norms)}
-    s_cols = range(dim + len(norms), width)
-    identity = np.eye(dim)
-    rows: list[np.ndarray] = []
-    rhs: list[float] = []
 
-    def add(vec: np.ndarray, bound: float, aux=()) -> None:
-        row = np.zeros(width)
-        row[:dim] = vec
+    def __init__(self, rlp: RobustLinearProgram, lift: np.ndarray, shift: np.ndarray):
+        dim = rlp.num_variables
+        norms = [
+            norm
+            for norm in Norm
+            if any(row.uncertainty_set.norm is norm for row in rlp.robust_rows)
+        ]
+        self.lift, self.shift = lift, shift
+        self.t_col = {norm: lift.shape[1] + k for k, norm in enumerate(norms)}
+        s_start = lift.shape[1] + len(norms)
+        self.width = s_start + (dim if Norm.LINF in norms else 0)
+        self.rows: list[np.ndarray] = []
+        self.rhs: list[float] = []
+        s_cols = range(s_start, self.width)
+        identity = np.eye(dim)
+
+        for row in rlp.deterministic_rows:
+            self.add(row.a, row.b)
+        for j, (lo, hi) in enumerate(rlp.bounds or ()):
+            if lo is not None and hi is not None:
+                self.add(identity[j], hi)
+
+        # |x_j| <= t for the L1 epigraph and |x_j| <= s_j for the LINF one.
+        abs_bounds = [(j, self.t_col[Norm.L1]) for j in range(dim)] if Norm.L1 in norms else []
+        abs_bounds += list(enumerate(s_cols))
+        for j, col in abs_bounds:
+            self.add(identity[j], 0.0, aux=[(col, -1.0)])
+            self.add(-identity[j], 0.0, aux=[(col, -1.0)])
+        if Norm.LINF in norms:
+            self.add(
+                np.zeros(dim), 0.0,
+                aux=[(col, 1.0) for col in s_cols] + [(self.t_col[Norm.LINF], -1.0)],
+            )
+
+        for row in rlp.robust_rows:
+            uset = row.uncertainty_set
+            for center in uset.centers:
+                self.add(center, row.b, aux=[(self.t_col[uset.norm], uset.radius)])
+
+    def add(self, vec: np.ndarray, bound: float, aux=()) -> None:
+        """Append ``vec . x + sum(coef * column for column, coef in aux) <= bound``.
+
+        Each row keeps its own dot with the shift: one product for all
+        rows would sum in another order and move right-hand sides by an ulp.
+        """
+        row = np.zeros(self.width)
+        row[: self.lift.shape[1]] = vec @ self.lift
         for col, coef in aux:
             row[col] = coef
-        rows.append(row)
-        rhs.append(bound)
+        self.rows.append(row)
+        self.rhs.append(bound - float(vec @ self.shift))
 
-    for row in rlp.deterministic_rows:
-        add(row.a, row.b)
-    for j, (lo, hi) in enumerate(rlp.bounds or ()):
-        if lo is not None and hi is not None:
-            add(identity[j], hi)
-
-    # |x_j| <= t for the L1 epigraph and |x_j| <= s_j for the LINF one.
-    abs_bounds = [(j, t_col[Norm.L1]) for j in range(dim)] if Norm.L1 in t_col else []
-    abs_bounds += list(enumerate(s_cols))
-    for j, col in abs_bounds:
-        add(identity[j], 0.0, aux=[(col, -1.0)])
-        add(-identity[j], 0.0, aux=[(col, -1.0)])
-    if Norm.LINF in t_col:
-        add(
-            np.zeros(dim), 0.0,
-            aux=[(col, 1.0) for col in s_cols] + [(t_col[Norm.LINF], -1.0)],
-        )
-
-    for row in rlp.robust_rows:
-        uset = row.uncertainty_set
-        for center in uset.centers:
-            add(center, row.b, aux=[(t_col[uset.norm], uset.radius)])
-    return np.array(rows).reshape(len(rows), width), np.array(rhs), t_col
+    def arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """The rows as an ``(rows, width)`` matrix and their right-hand sides."""
+        return np.array(self.rows).reshape(len(self.rows), self.width), np.array(self.rhs)
 
 
 def _certificate(rlp: RobustLinearProgram, x: np.ndarray) -> float:
@@ -341,22 +353,17 @@ def solve(rlp: RobustLinearProgram, *, max_cuts: int = MAX_CUTS) -> SolveReport:
         if row.uncertainty_set.norm is Norm.L2 and row.uncertainty_set.radius > 0.0
     ]
     lift, shift = _substitution(rlp.bounds, dim)
-    rows, rhs, t_col = _relaxation(rlp)
-    cost = np.zeros(lift.shape[1] + rows.shape[1] - dim)
+    lp = _Relaxation(rlp, lift, shift)
+    cost = np.zeros(lp.width)
     cost[: lift.shape[1]] = rlp.objective @ lift
     cuts_added = 0
 
     while True:
-        # Over y, each row keeps its own dot with the shift: one product
-        # for all rows would sum in another order and move right-hand
-        # sides by an ulp.
-        a_mat = np.hstack([rows[:, :dim] @ lift, rows[:, dim:]])
-        b_vec = np.array([b - float(a[:dim] @ shift) for a, b in zip(rows, rhs)])
-        result = solve_lp(cost, a_mat, b_vec)
+        result = solve_lp(cost, *lp.arrays())
         status, x_hat = result.status, None
         if status is LPStatus.UNBOUNDED and cone_rows:
             point = lift @ result.ray[: lift.shape[1]]
-            ray_t = result.ray[lift.shape[1] + t_col[Norm.L2] - dim]
+            ray_t = result.ray[lp.t_col[Norm.L2]]
             if np.linalg.norm(point) <= ray_t * (1.0 + FEASIBILITY_TOL):
                 zero = replace(rlp, objective=np.zeros(dim))
                 inner = solve(zero, max_cuts=max_cuts - cuts_added)
@@ -376,11 +383,7 @@ def solve(rlp: RobustLinearProgram, *, max_cuts: int = MAX_CUTS) -> SolveReport:
         if cuts_added >= max_cuts:
             status = LPStatus.ITERATION_LIMIT
             break
-        cut = np.zeros(rows.shape[1])
-        cut[:dim] = dual_achieving_direction(point, Norm.L2)
-        cut[t_col[Norm.L2]] = -1.0
-        rows = np.vstack([rows, cut])
-        rhs = np.append(rhs, 0.0)
+        lp.add(dual_achieving_direction(point, Norm.L2), 0.0, aux=[(lp.t_col[Norm.L2], -1.0)])
         cuts_added += 1
 
     if x_hat is None:

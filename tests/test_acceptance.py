@@ -20,7 +20,6 @@ import pytest
 
 from ballcover.calibration import (
     CalibrationSpec,
-    TrainingScores,
     UndersampledWarning,
     calibrate_radius,
     chernoff_violation_bounds,
@@ -324,7 +323,7 @@ def test_criterion_9_quantile_matches_the_cdf_scan():
             gamma = float(int(rng.integers(1, n)) / n)
         else:
             gamma = float(rng.uniform(1e-9, 1.0 - 1e-12))
-        got = empirical_quantile(TrainingScores(values), gamma)
+        got = empirical_quantile(values, gamma)
         ordered = np.sort(values)
         want = next(
             float(z) for i, z in enumerate(ordered) if (i + 1) / n >= gamma

@@ -8,7 +8,6 @@ from scipy.stats import binom
 
 from ballcover.calibration import (
     CalibrationSpec,
-    TrainingScores,
     UndersampledError,
     UndersampledWarning,
     calibrate_radius,
@@ -34,55 +33,57 @@ def quantile_oracle(values, gamma):
 
 class TestEmpiricalQuantile:
     def test_basic_examples(self):
-        assert empirical_quantile(TrainingScores([1, 2, 3, 4]), 0.5) == 2.0
+        assert empirical_quantile([1, 2, 3, 4], 0.5) == 2.0
         shuffled = [7, 3, 10, 1, 5, 9, 2, 8, 6, 4]
-        assert empirical_quantile(TrainingScores(shuffled), 0.95) == 10.0
+        assert empirical_quantile(shuffled, 0.95) == 10.0
         # ceil(3 * 0.34) = 2, so the second smallest of (5, 1, 3).
-        assert empirical_quantile(TrainingScores([5, 1, 3]), 0.34) == 3.0
+        assert empirical_quantile([5, 1, 3], 0.34) == 3.0
         assert quantile_oracle([5, 1, 3], 0.34) == 3.0
 
     def test_matches_oracle_on_grid(self):
         rng = np.random.default_rng(314)
-        gammas = np.linspace(0.01, 0.99, 25)
+        grid = [float(g) for g in np.linspace(0.01, 0.99, 25)]
         for n in [1, 2, 3, 5, 17, 64, 200]:
             values = rng.normal(size=n)
             if n > 3:
                 values[: n // 3] = values[n // 3 : 2 * (n // 3)][: n // 3]  # force ties
-            scores = TrainingScores(values)
-            for gamma in gammas:
-                assert empirical_quantile(scores, gamma) == quantile_oracle(values, gamma)
+            # Each level k/n exactly and one ulp on either side of it.
+            levels = [k / n for k in range(1, n)]
+            below = [math.nextafter(g, 0.0) for g in levels + [1.0]]
+            above = [math.nextafter(g, 1.0) for g in levels]
+            before = values.copy()
+            for gamma in grid + levels + below + above:
+                assert empirical_quantile(values, gamma) == quantile_oracle(values, gamma)
+            assert np.array_equal(values, before)
 
     def test_grid_gamma_survives_product_rounding(self):
         # 25 * (7 / 25) evaluates to 7.000000000000001, so a bare
         # ceil(n * gamma) would skip to the 8th smallest score.
-        scores = TrainingScores(np.arange(25.0))
-        assert empirical_quantile(scores, 7 / 25) == 6.0
+        assert empirical_quantile(np.arange(25.0), 7 / 25) == 6.0
         assert quantile_oracle(np.arange(25.0), 7 / 25) == 6.0
 
     def test_monotone_in_gamma(self):
         rng = np.random.default_rng(88)
-        scores = TrainingScores(rng.exponential(size=37))
+        scores = rng.exponential(size=37)
         gammas = rng.uniform(0.01, 0.99, size=100)
         gammas.sort()
         quantiles = [empirical_quantile(scores, g) for g in gammas]
         assert all(a <= b for a, b in zip(quantiles, quantiles[1:]))
 
     def test_gamma_domain(self):
-        scores = TrainingScores([1.0, 2.0])
+        scores = np.array([1.0, 2.0])
         for gamma in (0.0, 1.0, -0.2, 1.5):
             with pytest.raises(ValueError):
                 empirical_quantile(scores, gamma)
 
     def test_scores_validation(self):
-        with pytest.raises(ValueError):
-            TrainingScores([])
-        with pytest.raises(ValueError):
-            TrainingScores([1.0, float("nan")])
-        for bad in (float("inf"), float("-inf")):
+        with pytest.raises(ValueError, match="non-empty"):
+            empirical_quantile([], 0.5)
+        with pytest.raises(ValueError, match="1-D"):
+            empirical_quantile([[1.0, 2.0], [3.0, 4.0]], 0.5)
+        for bad in (float("nan"), float("inf"), float("-inf")):
             with pytest.raises(ValueError, match="finite"):
-                TrainingScores([1.0, bad])
-        with pytest.raises(AttributeError):
-            TrainingScores([1.0]).values = None
+                empirical_quantile([1.0, bad], 0.5)
 
 
 class TestOptimalLambda:
@@ -206,7 +207,7 @@ class TestExactViolationProbs:
         # 25 * 0.28 rounds to 7.000000000000001, so ceil gives rank 8, but
         # empirical_quantile (and so calibrate_radius) takes the 7th score.
         n, alpha, eps, alpha_n = 25, 0.27, 0.02, 0.28
-        assert empirical_quantile(TrainingScores(np.arange(1.0, n + 1)), alpha_n) == 7.0
+        assert empirical_quantile(np.arange(1.0, n + 1), alpha_n) == 7.0
         under, over = exact_violation_probs(n, alpha, eps, alpha_n)
         np.testing.assert_allclose(under, binom.cdf(n - 7, n, 1 - alpha), rtol=1e-12)
         np.testing.assert_allclose(over, binom.cdf(7 - 1, n, alpha + eps), rtol=1e-12)

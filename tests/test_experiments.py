@@ -16,6 +16,7 @@ from ballcover import experiments
 from ballcover.calibration import (
     CalibrationSpec,
     UndersampledWarning,
+    _quantile_rank,
     calibrate_radius,
     chernoff_violation_bounds,
     exact_violation_probs,
@@ -434,6 +435,44 @@ class TestUndershootFrequency:
         assert frequency <= chernoff
 
 
+def twenty_dim_mixture():
+    """A 3-component mixture in 20-D, its parameters drawn from ``default_rng([0, 20])``."""
+    d = 20
+    rng = np.random.default_rng([0, d])
+    means = rng.normal(0.0, 1.0, (3, d))
+    factors = rng.normal(0.0, 1.0, (3, d, d)) / math.sqrt(d)
+    covariances = 0.1 * factors @ factors.transpose(0, 2, 1) + 0.05 * np.eye(d)
+    weights = rng.dirichlet(np.ones(3))
+    return GaussianMixture(weights / weights.sum(), means, covariances)
+
+
+class TestCoverageLaw:
+    @pytest.mark.parametrize(
+        "mixture, trials, draws",
+        [
+            (lambda: bundled_mixture("peaked"), 200, 100_000),
+            (twenty_dim_mixture, 100, 10_000),
+        ],
+        ids=["peaked", "d20"],
+    )
+    def test_hit_counts_follow_the_beta_binomial_law(self, mixture, trials, draws):
+        # Given the centers, the calibrated radius is the k-th smallest of n
+        # continuous scores, so the mass F(radius) it captures is
+        # Beta(k, n + 1 - k) and a trial's hit count over N draws is
+        # BetaBinomial(N, k, n + 1 - k), whatever the mixture and dimension.
+        # The test fails a correct program with probability at most 1e-3.
+        from scipy.stats import betabinom, kstest
+
+        spec = quick_spec()
+        n = spec.n_min
+        k = _quantile_rank(n, spec.alpha_n)
+        cfg = ConsistencyConfig(mixture(), 10, spec, trials, draws, seed=7, norm=Norm.L2)
+        hits = np.rint(run_consistency_experiment(cfg).coverages * draws).astype(int)
+        # One pass over the support: betabinom.cdf sums the pmf anew per call.
+        cdf = np.cumsum(betabinom(draws, k, n + 1 - k).pmf(np.arange(draws + 1)))
+        assert kstest(hits, lambda x: cdf[x.astype(int)]).pvalue > 1e-3
+
+
 class TestRasterSet:
     def test_hand_enumerated_unit_disk(self):
         uset = UncertaintySet(centers=[[0.0, 0.0]], radius=1.0, norm=Norm.L2)
@@ -606,7 +645,8 @@ class TestRasterMatchesMemberBatch:
         # The third radius puts a cell center on the first ball's boundary,
         # where ``c +- r`` may round to just short of the cell and only the
         # one-cell margin of the windows keeps it tested.  The offset moves
-        # the whole case up to 1e8 from the origin.
+        # the whole case up to 1e8 from the origin, where that rounding
+        # hardly ever happens; the balls across 0 make it happen.
         rng = np.random.default_rng(seed)
         centers = offset + rng.normal(scale=2.0, size=(m, 2))
         corner = offset + rng.uniform(-4.0, 2.0, size=2)
@@ -615,10 +655,46 @@ class TestRasterMatchesMemberBatch:
         cell = brute_force_cells(bbox, resolution)[rng.integers(resolution**2)]
         boundary = shape_values(centers[:1], norm, cell)[0]
         radius = float(rng.choice([0.0, rng.exponential(), boundary]))
-        uset = UncertaintySet(centers, radius, norm)
-        np.testing.assert_array_equal(
-            raster_set(uset, bbox, resolution), brute_force_raster(uset, bbox, resolution)
-        )
+        cases = [(UncertaintySet(centers, radius, norm), bbox)]
+        if resolution > 1:
+            cases += [ball_across_zero(rng, norm, resolution) for _ in range(4)]
+        for uset, bbox in cases:
+            np.testing.assert_array_equal(
+                raster_set(uset, bbox, resolution), brute_force_raster(uset, bbox, resolution)
+            )
+
+
+def ball_across_zero(rng, norm, resolution):
+    """One ball and a box with a cell on the ball's boundary, on the other side of 0.
+
+    Along one axis the cell lies v cell widths from 0 and the center u widths
+    on the other side, with u, v < 1/2 < u + v, so the ball also holds the
+    cell next to it on the center's side.  Far from 0 a center and a nearby
+    cell are within a factor of 2 of each other and ``c + (x - c)`` lands
+    back on the cell; here ``c +- r`` rounds short of it in about one draw
+    in eight, and only the one-cell margin of the ball's two-cell window
+    keeps it tested.  A center outside the box would not show that (every
+    window holds the box's edge cell), nor would more balls (a wider window
+    of another ball sets the common width).
+    """
+    side = rng.uniform(0.01, 6.0, size=2)
+    axis, flip = rng.integers(2), rng.choice([-1.0, 1.0])
+    width = side[axis] / resolution
+    v = rng.uniform(0.0, 0.5)
+    u = rng.uniform(0.5 - v, 0.5)
+    # Cell j of the axis lands near flip * v widths, with a neighbour on the
+    # center's side.
+    j = rng.integers(1, resolution) - (flip < 0)
+    start = (flip * v - j - 0.5) * width
+    bbox = [(-1.0, -1.0 + side[0]), (-1.0, -1.0 + side[1])]
+    bbox[axis] = (start, start + side[axis])
+    cells = brute_force_cells(bbox, resolution)
+    gap = np.abs(cells[:, axis] - flip * v * width)
+    cell = cells[gap == gap.min()][rng.integers(resolution)]
+    center = cell.copy()
+    center[axis] = -flip * u * width
+    radius = float(shape_values(center[np.newaxis], norm, cell)[0])
+    return UncertaintySet([center], radius, norm), tuple(bbox)
 
 
 class TestGridFiles:

@@ -564,3 +564,9 @@ class TestWorstCaseLinear:
         uset = UncertaintySet([(0, 0)], 1.0, Norm.L2)
         with pytest.raises(DimensionError):
             worst_case_linear(uset, (1, 2, 3))
+        # A non-finite x has no worst case (numpy would make it NaN).
+        skew = UncertaintySet([[1, 2], [0, -1]], 0.5, Norm.L2)
+        inf, nan = float("inf"), float("nan")
+        for bad in ([inf, 0.0], [inf, -inf], [nan, 1.0]):
+            with pytest.raises(ValueError, match="x must be finite"):
+                worst_case_linear(skew, bad)
