@@ -22,6 +22,7 @@ from .geometry import (
     DimensionError,
     Norm,
     UncertaintySet,
+    _member_columns,
     _pair_rule,
     member_batch,
 )
@@ -55,12 +56,12 @@ def estimate_coverage(
     """Fraction of ``n_samples`` i.i.d. draws from ``mix`` inside the set.
 
     The draws are streamed through :func:`_streamed_coverage`: the calling
-    thread draws each block into one of three reused buffers while one
+    thread draws each block into one of four reused buffers while one
     worker thread, opened for this call, scores the blocks before it with
-    :func:`~ballcover.geometry.member_batch` (numpy releases the GIL inside
-    both), so the memory does not grow with ``n_samples``.  The draws equal
-    ``mix.sample(stream, n_samples)`` and the hit counts are integers, so
-    the estimate is the serial one.
+    the kernel of :func:`~ballcover.geometry.member_batch` (numpy releases
+    the GIL inside both), so the memory does not grow with ``n_samples``.
+    The draws equal ``mix.sample(stream, n_samples)`` and the hit counts are
+    integers, so the estimate is the serial one.
     """
     _check_count("n_samples", n_samples)
     if mix.dimension != uset.dimension:
@@ -78,8 +79,8 @@ def estimate_coverage(
 
 
 def _score(uset, block: np.ndarray) -> int:
-    """Number of points of ``block`` inside the set that the future ``uset`` holds."""
-    return int(np.count_nonzero(member_batch(uset.result(), block)))
+    """Number of columns of the (d, rows) ``block`` inside the set the future ``uset`` holds."""
+    return int(np.count_nonzero(_member_columns(uset.result(), block)))
 
 
 def _streamed_coverage(
@@ -92,10 +93,12 @@ def _streamed_coverage(
     ``uset``, submitted before this call, is done before the first block is
     scored.  The calling thread draws the blocks of
     :meth:`GaussianMixture._blocks <ballcover.mixtures.GaussianMixture._blocks>`
-    and submits one scoring task per block.  The sampler cycles
-    ``_BLOCK_BUFFERS`` buffers, so the count of block i-2 is collected
-    before block i+1 is drawn into its buffer.  An error in ``uset`` or in
-    a scoring task is raised here.
+    and submits one scoring task per block, which scores the coordinate-major
+    block where it lies, without a transposed copy.  The sampler cycles
+    ``_BLOCK_BUFFERS`` (four) buffers, so the count of block i-3 is
+    collected before block i+1 is drawn into its buffer: the caller may run
+    three blocks ahead of the worker.  An error in ``uset`` or in a scoring
+    task is raised here.
     """
     hits = 0
     pending = deque()

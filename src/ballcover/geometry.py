@@ -35,12 +35,13 @@ __all__ = [
 # Floats of kernel scratch: 64K floats (512 KB), so it stays in one core's L2
 # cache.  ``shape_values`` fits each (rows, m, d) difference block in it (at
 # least one row, so a single row wider than the budget, m * d above it, still
-# makes one block); ``member_batch`` splits it into two (g, left) slots, a
-# running sum and the next coordinate's terms; ``raster_set`` keeps each
-# (balls, rows, cols) block of pair sums in half of it.  All fold a pair by
-# ``_pair_rule``.  ``GaussianMixture._blocks`` draws blocks of half a budget
-# of floats and transforms each in place with two vectors of one block's
-# length (a budget / d floats), so ``member_batch`` takes a drawn block whole.
+# makes one block); ``member_batch``'s kernel splits it into two (g, left)
+# slots, a running sum and the next coordinate's terms; ``raster_set`` keeps
+# each (balls, rows, cols) block of pair sums in half of it.  All fold a pair
+# by ``_pair_rule``.  ``GaussianMixture._blocks`` draws coordinate-major
+# (d, rows) blocks of half a budget of floats and transforms each with two
+# scratch arrays of the same size, so a drawn block has at most half a budget
+# of rows and ``_member_columns`` scores it whole, where it lies.
 _CHUNK_BUDGET = 65_536
 
 
@@ -224,6 +225,31 @@ def member(uset: UncertaintySet, u) -> bool:
 def member_batch(uset: UncertaintySet, points) -> np.ndarray:
     """Boolean membership for each row of an (n, d) array.
 
+    Points enter in blocks, each transposed once to ``(d, rows)`` and
+    scored by :func:`_member_columns`, with as many rows as one of its
+    scratch slots holds but at most ``16 * _CHUNK_BUDGET`` floats (the cap
+    binds above d = 32).  "Some ball holds the point" equals
+    ``shape_values(...) <= radius`` bit for bit, and a row with a NaN is
+    never inside.  The scratch does not grow with n or m.
+    """
+    points = _matrix(points, "points")
+    d = uset.dimension
+    if points.shape[1] != d:
+        raise DimensionError(
+            f"dimension mismatch: set is {d}-D, points are {points.shape[1]}-D"
+        )
+    n = points.shape[0]
+    rows = min(n, max(1, _CHUNK_BUDGET // 2), max(1, 16 * _CHUNK_BUDGET // d))
+    inside = np.empty(n, dtype=bool)
+    for first in range(0, n, rows):
+        block = points[first : first + rows].T.copy()
+        inside[first : first + rows] = _member_columns(uset, block)
+    return inside
+
+
+def _member_columns(uset: UncertaintySet, columns: np.ndarray) -> np.ndarray:
+    """Boolean membership for each column of a (d, rows) block.
+
     A point is inside once one ball holds it, so the centers are walked in
     their stored order, a step taking the next ``ceil(m / left)`` centers
     for the ``left`` points of the block, capped so that its ``(g, left)``
@@ -233,58 +259,46 @@ def member_batch(uset: UncertaintySet, points) -> np.ndarray:
     ``dead`` being the done points, that is once the pair tests they would
     still take are at least one pass over the block.  After the last
     center the done points are written without a compaction.  Testing a
-    point that is already inside changes no verdict.
-    Points enter in blocks, each transposed once to ``(d, rows)``, and the
-    pairs are scored one coordinate at a time by :func:`_pair_rule`:
-    subtract, transform in place, and fold into the running result.  Hence
-    "some ball holds the point" equals ``shape_values(...) <= radius`` bit
-    for bit, and a row with a NaN is never inside.
+    point that is already inside changes no verdict.  The pairs are scored
+    one coordinate at a time by :func:`_pair_rule`: subtract, transform in
+    place, and fold into the running result.
 
-    The scratch is allocated once per call: ``_CHUNK_BUDGET`` floats (fewer
-    for small inputs) split into two slots, the running sum and the next
-    coordinate's terms, and the transposed block, with as many rows as one
-    slot holds but at most ``16 * _CHUNK_BUDGET`` floats (the cap binds
-    above d = 32).  Neither grows with n or m.
+    ``columns`` is read, never written, so a sampler's block is scored
+    where it lies.  The scratch is two slots, the running sum and the next
+    coordinate's terms, of at most half a ``_CHUNK_BUDGET`` of floats each,
+    or of one float per point for a block with more rows than that.
     """
-    points = _matrix(points, "points")
     centers, norm = uset.centers, uset.norm
     m, d = centers.shape
-    if points.shape[1] != d:
-        raise DimensionError(
-            f"dimension mismatch: set is {d}-D, points are {points.shape[1]}-D"
-        )
-    n = points.shape[0]
     transform, combine, level = _pair_rule(norm, uset.radius)
+    n = columns.shape[1]
     # A slot holds a whole block against one center, and no step holds
     # more than m + left - 1 pairs.
-    size = max(1, _CHUNK_BUDGET // 2)
-    rows = min(n, size, max(1, 16 * _CHUNK_BUDGET // d))
-    scratch = np.empty((2, min(size, rows + m - 1)))
+    scratch = np.empty((2, max(n, min(_CHUNK_BUDGET // 2, n + m - 1))))
     by_axis = centers.T[:, :, np.newaxis]
     inside = np.zeros(n, dtype=bool)
-    for first in range(0, n, rows):
-        outside = points[first : first + rows].T.copy()
-        left = np.arange(first, first + outside.shape[1])
-        done = np.zeros(left.size, dtype=bool)
-        start = 0
-        while left.size:
-            g = min(-(-m // left.size), scratch.shape[1] // left.size)
-            cols = by_axis[:, start : start + g]
-            acc, term = scratch[:, : cols.shape[1] * left.size].reshape(2, -1, left.size)
-            transform(np.subtract(outside[0], cols[0], out=acc), out=acc)
-            for j in range(1, d):
-                transform(np.subtract(outside[j], cols[j], out=term), out=term)
-                combine(acc, term, out=acc)
-            done |= (acc <= level).any(axis=0)
-            start += g
-            if start >= m:
-                inside[left[done]] = True
-                break
-            if np.count_nonzero(done) * (m - start) >= left.size:
-                inside[left[done]] = True
-                keep = np.flatnonzero(~done)
-                left, outside = left.take(keep), outside.take(keep, axis=1)
-                done = np.zeros(left.size, dtype=bool)
+    outside = columns
+    left = np.arange(n)
+    done = np.zeros(n, dtype=bool)
+    start = 0
+    while left.size:
+        g = min(-(-m // left.size), scratch.shape[1] // left.size)
+        cols = by_axis[:, start : start + g]
+        acc, term = scratch[:, : cols.shape[1] * left.size].reshape(2, -1, left.size)
+        transform(np.subtract(outside[0], cols[0], out=acc), out=acc)
+        for j in range(1, d):
+            transform(np.subtract(outside[j], cols[j], out=term), out=term)
+            combine(acc, term, out=acc)
+        done |= (acc <= level).any(axis=0)
+        start += g
+        if start >= m:
+            inside[left[done]] = True
+            break
+        if np.count_nonzero(done) * (m - start) >= left.size:
+            inside[left[done]] = True
+            keep = np.flatnonzero(~done)
+            left, outside = left.take(keep), outside.take(keep, axis=1)
+            done = np.zeros(left.size, dtype=bool)
     return inside
 
 
@@ -319,7 +333,11 @@ def worst_case_linear(uset: UncertaintySet, x) -> float:
 
     Over a single ball the maximum is x . center + radius * ||x||_dual;
     over the union it is the best center plus the same radius term.
-    A non-finite x raises ValueError.
+    A non-finite x raises ValueError.  x is divided by the power of two
+    ``scale`` with ``max|x| / scale`` in [1, 2) and the answer multiplied
+    back, so no product overflows when the answer itself is a finite
+    double; where nothing overflows or underflows the scaling is exact and
+    the answer is the unscaled formula's bit for bit.
     """
     x = _vector(x)
     if x.size != uset.dimension:
@@ -328,4 +346,6 @@ def worst_case_linear(uset: UncertaintySet, x) -> float:
         )
     if not np.isfinite(x).all():
         raise ValueError("x must be finite")
-    return float(np.max(uset.centers @ x) + uset.radius * dual_norm_eval(x, uset.norm))
+    scale = math.ldexp(1.0, math.frexp(float(np.max(np.abs(x))))[1] - 1)
+    x = x / scale
+    return float(np.max(uset.centers @ x) + uset.radius * dual_norm_eval(x, uset.norm)) * scale

@@ -3,8 +3,9 @@
 Mixtures are immutable: covariance factors and log-normalizers are computed
 once at construction, and construction fails loudly on anything that is not
 symmetric positive definite.  Sampling goes through :class:`RandomStream`,
-a (seed, stream_id) pair backed by a counter-based generator, so per-trial
-substreams can run in any order, or in parallel, with identical output.
+a (seed, stream_id) pair whose generator is a pure function of that pair,
+so per-trial substreams can run in any order, or in parallel, with
+identical output.
 
 scipy is imported only inside the 1-D branch of :func:`true_ball_mass`, so
 importing this module does not load it; :meth:`GaussianMixture.density`
@@ -34,8 +35,8 @@ __all__ = [
 ]
 
 _UINT64 = 2**64
-# Reused buffers that GaussianMixture._blocks cycles when it has no output.
-_BLOCK_BUFFERS = 3
+# Reused buffers that GaussianMixture._blocks cycles.
+_BLOCK_BUFFERS = 4
 
 
 @dataclass(frozen=True)
@@ -43,9 +44,12 @@ class RandomStream:
     """A reproducible random source identified by (seed, stream_id).
 
     Streams with the same identity always produce the same draws; distinct
-    stream ids give statistically independent sequences.  Each call to
+    identities give statistically independent sequences.  Each call to
     :meth:`generator` restarts the stream, so sampling is a pure function
-    of the stream identity.
+    of the stream identity.  The generator is SFC64, seeded by a
+    ``SeedSequence`` with ``seed`` as its entropy and ``(stream_id,)`` as
+    its spawn key; the two stay apart, so no two identities share a state
+    the way the words of one entropy list ``[seed, stream_id]`` could.
     """
 
     seed: int
@@ -59,8 +63,8 @@ class RandomStream:
             object.__setattr__(self, name, int(value) % _UINT64)
 
     def generator(self) -> np.random.Generator:
-        key = np.array([self.seed, self.stream_id], dtype=np.uint64)
-        return np.random.Generator(np.random.Philox(key=key))
+        seeds = np.random.SeedSequence(self.seed, spawn_key=(self.stream_id,))
+        return np.random.Generator(np.random.SFC64(seeds))
 
 
 class GaussianMixture:
@@ -142,67 +146,71 @@ class GaussianMixture:
         return int(self._means.shape[1])
 
     def sample(self, stream: RandomStream, n: int) -> np.ndarray:
-        """Draw n i.i.d. points: component counts, then mean + L z per row.
+        """Draw n i.i.d. points: component counts, then mean + L z per point.
 
-        Each block of :meth:`_blocks` is written into its own rows of the
-        output, so beyond the output the scratch memory is two vectors of
-        one block's length whatever n is, and no (n, d, d) copy of the
-        factors is made.
+        The blocks of :meth:`_blocks` are transposed into their rows of the
+        (n, d) output, so beyond the output the scratch memory is the
+        sampler's fixed set of block buffers whatever n is, and no (n, d, d)
+        copy of the factors is made.
         """
         if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
             raise TypeError(f"n must be an integer, got {type(n).__name__}")
         if n < 0:
             raise ValueError(f"n must be >= 0, got {n}")
         out = np.empty((n, self.dimension))
-        for _ in self._blocks(stream, n, out):
-            pass
+        start = 0
+        for block in self._blocks(stream, n):
+            stop = start + block.shape[1]
+            # One strided write per coordinate beats numpy's transposed copy at small d.
+            for column, coordinate in zip(out[start:stop].T, block):
+                column[:] = coordinate
+            start = stop
         return out
 
-    def _blocks(self, stream: RandomStream, n: int, out: np.ndarray | None = None):
-        """Yield the n draws of ``stream`` one block of rows at a time.
+    def _blocks(self, stream: RandomStream, n: int):
+        """Yield the n draws of ``stream`` as coordinate-major (d, rows) blocks.
 
         The draws are sampled by composition: one ``rng.multinomial(n,
         weights)`` call gives the component counts, and component k owns the
-        contiguous rows ``edges[k]:edges[k+1]``, ``edges`` being the running
+        contiguous draws ``edges[k]:edges[k+1]``, ``edges`` being the running
         sum of the counts from 0.  Every estimator treats a sample as an
-        unordered set, so grouping the rows by component changes no law.
-        Then each block's standard normals ``z`` are drawn straight into its
-        rows (block by block, the same bits as one (n, d) call), and each
-        component's slice of the block is transformed in place, column
-        i = d-1 down to 0, to ``mean[i] + ((F[i,0]*z_0 + F[i,1]*z_1) + ...
-        + F[i,i]*z_i)`` with ``F`` its lower-triangular Cholesky factor: the
-        products are added left to right.  Column i reads only
-        ``z_0..z_i``, so overwriting the columns from the last one down
-        leaves every normal it needs in place.  The scratch is two vectors of
-        one block's length, the running sum and the next product.  A block
-        has ``_CHUNK_BUDGET // (2 * d)`` rows, half a budget of floats.
+        unordered set, so grouping the draws by component changes no law.
+        Then each block's standard normals ``z`` are drawn straight into a
+        C-ordered (d, rows) array, coordinate 0 of every draw first, and
+        each component's columns of the block are transformed with d
+        sweeps, ``acc[j:] += F[j:, j] * z[j]`` for j = 0 to d-1, ``F`` being
+        its lower-triangular Cholesky factor, so coordinate i is ``mean[i] +
+        ((F[i,0]*z_0 + F[i,1]*z_1) + ... + F[i,i]*z_i)``: the products are
+        added left to right.  The sweeps use two (d, rows) scratch arrays,
+        the running sums and the next products, and the result overwrites
+        ``z``.  A block has ``_CHUNK_BUDGET // (2 * d)`` draws, half a
+        budget of floats.
 
-        Block i is written into its own rows of ``out``, an (n, d) array,
-        when one is given.  Otherwise the blocks cycle through
-        ``_BLOCK_BUFFERS`` (three) reused buffers, so block i stays valid
-        until block i+3 is requested: a caller may score blocks i-1 and i
-        while block i+1 is drawn, so the sampler may run two blocks ahead of
-        its scorer.
+        The blocks cycle through ``_BLOCK_BUFFERS`` (four) reused buffers, so
+        block i stays valid until block i+4 is requested: a caller may score
+        blocks i-2, i-1 and i while block i+1 is drawn, so the sampler may
+        run three blocks ahead of its scorer.
         """
         d = self.dimension
         block = max(1, _CHUNK_BUDGET // (2 * d))
         rng = stream.generator()
         edges = np.concatenate(([0], np.cumsum(rng.multinomial(n, self._weights))))
-        buffers = None if out is not None else np.empty((_BLOCK_BUFFERS, min(n, block), d))
-        scratch = np.empty((2, min(n, block)))
+        buffers = np.empty((_BLOCK_BUFFERS, d * min(n, block)))
+        acc, term = np.empty((2, d, min(n, block)))
         for i, start in enumerate(range(0, n, block)):
             stop = min(start + block, n)
-            target = out[start:] if buffers is None else buffers[i % _BLOCK_BUFFERS]
-            z = rng.standard_normal(out=target[: stop - start])
+            # standard_normal fills a C-ordered out; a prefix of the flat
+            # buffer keeps a short last block C-ordered too.
+            z = buffers[i % _BLOCK_BUFFERS, : d * (stop - start)].reshape(d, -1)
+            rng.standard_normal(out=z)
             cuts = np.clip(edges, start, stop) - start
             for lo, hi, mean, factor in zip(cuts[:-1], cuts[1:], self._means, self._factors):
-                rows = z[lo:hi]
-                acc, term = scratch[:, : hi - lo]
-                for col in range(d - 1, -1, -1):
-                    np.multiply(factor[col, 0], rows[:, 0], out=acc)
-                    for j in range(1, col + 1):
-                        np.add(acc, np.multiply(factor[col, j], rows[:, j], out=term), out=acc)
-                    np.add(mean[col], acc, out=rows[:, col])
+                draws, sums, products = z[:, lo:hi], acc[:, : hi - lo], term[:, : hi - lo]
+                np.multiply(factor[:, :1], draws[0], out=sums)
+                for j in range(1, d):
+                    np.multiply(factor[j:, j : j + 1], draws[j], out=products[j:])
+                    np.add(sums[j:], products[j:], out=sums[j:])
+                np.add(mean[:, np.newaxis], sums, out=draws)
             yield z
 
     def density(self, u) -> float | np.ndarray:

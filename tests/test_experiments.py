@@ -37,6 +37,7 @@ from ballcover.geometry import (
     DimensionError,
     Norm,
     UncertaintySet,
+    _member_columns,
     member_batch,
     shape_values,
 )
@@ -102,7 +103,7 @@ class TestEstimateCoverage:
         assert estimate_coverage(uset, standard_normal_2d(), np.int64(7), RandomStream(1, 0)) == 1.0
 
     def test_scratch_memory_does_not_grow_with_the_draw_count(self):
-        # The draws are streamed through three reused blocks and the counts are
+        # The draws are streamed through four reused blocks and the counts are
         # one integer per component, so ten times the draws keeps the same
         # peak.  One byte a draw would add 1.8 MB; the worker's scoring
         # blocks move the peak by up to about 0.1 MB from run to run.
@@ -156,11 +157,11 @@ class TestEstimateCoverage:
         monkeypatch.setattr(os, "cpu_count", lambda: workers)
         scorers = set()
 
-        def recording_member_batch(uset, points):
+        def recording_member_columns(uset, columns):
             scorers.add(threading.get_ident())
-            return member_batch(uset, points)
+            return _member_columns(uset, columns)
 
-        monkeypatch.setattr(experiments, "member_batch", recording_member_batch)
+        monkeypatch.setattr(experiments, "_member_columns", recording_member_columns)
         threads = threading.active_count()
         value = estimate_coverage(uset, mix, n, RandomStream(8, n))
         assert threading.active_count() == threads
@@ -174,12 +175,12 @@ class TestEstimateCoverage:
         n = 2 * (_CHUNK_BUDGET // (2 * mix.dimension)) + 1
         last_draw = mix.sample(RandomStream(8, 0), n)[-1]
 
-        def failing_member_batch(uset, points):
-            if np.array_equal(points[-1], last_draw):
+        def failing_member_columns(uset, columns):
+            if np.array_equal(columns[:, -1], last_draw):
                 raise RuntimeError("scoring failed on the last block")
-            return member_batch(uset, points)
+            return _member_columns(uset, columns)
 
-        monkeypatch.setattr(experiments, "member_batch", failing_member_batch)
+        monkeypatch.setattr(experiments, "_member_columns", failing_member_columns)
         threads = threading.active_count()
         with pytest.raises(RuntimeError, match="last block"):
             estimate_coverage(uset, mix, n, RandomStream(8, 0))
@@ -336,13 +337,13 @@ class TestConsistencyPipeline:
         self.assert_serial(self.config(mixture, norm, blocks * self.BLOCK + extra))
 
     def test_slow_scorer_reads_every_block_before_it_is_reused(self, monkeypatch):
-        # A sampler that ran more than two blocks ahead of a slow scorer would
-        # overwrite a buffer before it was scored.
-        def slow_member_batch(uset, points):
+        # A sampler that ran more than three blocks ahead of a slow scorer
+        # would overwrite a buffer before it was scored.
+        def slow_member_columns(uset, columns):
             time.sleep(0.001)
-            return member_batch(uset, points)
+            return _member_columns(uset, columns)
 
-        monkeypatch.setattr(experiments, "member_batch", slow_member_batch)
+        monkeypatch.setattr(experiments, "_member_columns", slow_member_columns)
         cfg = self.config(coverage_samples=6 * self.BLOCK + 1)
         self.assert_serial(cfg)
         uset = TestEstimateCoverage.median_radius_set(cfg.mixture, cfg.norm)
@@ -362,7 +363,7 @@ class TestConsistencyPipeline:
             return record
 
         monkeypatch.setattr(experiments, "calibrate_radius", recording("calibrate", calibrate_radius))
-        monkeypatch.setattr(experiments, "member_batch", recording("score", member_batch))
+        monkeypatch.setattr(experiments, "_member_columns", recording("score", _member_columns))
         threads = threading.active_count()
         run_consistency_experiment(self.config())
         assert threading.active_count() == threads
@@ -394,13 +395,13 @@ class TestConsistencyPipeline:
         error = RuntimeError("scoring failed")
         calls = []
 
-        def failing_member_batch(uset, points):
+        def failing_member_columns(uset, columns):
             calls.append(None)
             if len(calls) == failing_block + 1:
                 raise error
-            return member_batch(uset, points)
+            return _member_columns(uset, columns)
 
-        monkeypatch.setattr(experiments, "member_batch", failing_member_batch)
+        monkeypatch.setattr(experiments, "_member_columns", failing_member_columns)
         threads = threading.active_count()
         with pytest.raises(RuntimeError) as info:
             run_consistency_experiment(self.config())

@@ -560,6 +560,36 @@ class TestWorstCaseLinear:
             for u in inside:
                 assert u @ x <= bound + 1e-9
 
+    @pytest.mark.parametrize(
+        "norm, expected",
+        [
+            (Norm.L1, -1.5e308),
+            (Norm.L2, (-2.0 + 0.5 * math.sqrt(2.0)) * 1e308),
+            (Norm.LINF, -1e308),
+        ],
+    )
+    def test_finite_answer_whose_products_overflow(self, norm, expected):
+        # centers @ x is -2e308, out of range, but the worst case is not.
+        uset = UncertaintySet([[1.0, 3.0]], 0.5, norm)
+        value = worst_case_linear(uset, [1e308, -1e308])
+        assert math.isfinite(value)
+        assert value == pytest.approx(expected, rel=1e-15)
+
+    def test_scaling_keeps_the_unscaled_bits(self):
+        # Dividing x by a power of two and multiplying back is exact when
+        # nothing overflows or underflows.
+        rng = np.random.default_rng(23)
+        for _ in range(200):
+            d = int(rng.integers(1, 6))
+            centers = rng.normal(size=(int(rng.integers(1, 6)), d))
+            radius, norm = float(rng.uniform(0.0, 2.0)), ALL_NORMS[rng.integers(3)]
+            uset = UncertaintySet(centers, radius, norm)
+            x = rng.normal(size=d) * 10.0 ** rng.uniform(-100, 100)
+            unscaled = float(
+                np.max(uset.centers @ x) + uset.radius * dual_norm_eval(x, uset.norm)
+            )
+            assert worst_case_linear(uset, x) == unscaled
+
     def test_dimension_mismatch(self):
         uset = UncertaintySet([(0, 0)], 1.0, Norm.L2)
         with pytest.raises(DimensionError):

@@ -44,13 +44,19 @@ def gather_sample(mix, stream, n):
     """Sampling by component counts, as a per-row gather: the reference formula.
 
     One multinomial gives the counts, component k owns the next counts[k]
-    rows, and one (n, d) call gives every row's normals z.  Coordinate i of
-    a row is ``mean[i] + (F[i,0]*z_0 + ... + F[i,i]*z_i)``, with F the row's
-    Cholesky factor and the products added left to right.
+    rows, and one (d, rows) call per block of ``_CHUNK_BUDGET // (2 d)``
+    rows gives those rows' normals z, coordinate 0 of every row first.
+    Coordinate i of a row is ``mean[i] + (F[i,0]*z_0 + ... + F[i,i]*z_i)``,
+    with F the row's Cholesky factor and the products added left to right.
     """
     rng = stream.generator()
     comp = np.repeat(np.arange(mix.num_components), rng.multinomial(n, mix.weights))
-    z = rng.standard_normal((n, mix.dimension))
+    d = mix.dimension
+    block = max(1, _CHUNK_BUDGET // (2 * d))
+    z = np.empty((n, d))
+    for start in range(0, n, block):
+        rows = min(block, n - start)
+        z[start : start + rows] = rng.standard_normal((d, rows)).T
     out = np.empty_like(z)
     for i in range(mix.dimension):
         terms = [mix._factors[:, i, j][comp] * z[:, j] for j in range(i + 1)]
@@ -59,21 +65,21 @@ def gather_sample(mix, stream, n):
 
 
 # SHA-256 of ``sample(RandomStream(0, 0), n).tobytes()`` for the bundled
-# 2-D mixtures, recorded when the sampler still used ``einsum``: a 2-D row
-# adds two products, in the same order either way.
+# 2-D mixtures, recorded when the streams became SFC64 and the blocks
+# coordinate-major.
 SAMPLE_DIGESTS = {
-    ("isotropic", 1): "9f531e23f9fd283ab09f389bc5b6312008199db2b296440bea72cfbf19f6c811",
-    ("isotropic", 16_383): "cabc2b006e5f328617a0c88847afcfaf31e2f8b2e850fe2cafc6862e8d1e6779",
-    ("isotropic", 16_384): "762f6a809901c98a879619caa6edefdcc604928b6f2b126a8ba6b45d7751ca82",
-    ("isotropic", 100_003): "5b16a584f121952ed90ff2014a944ead6bead057593d4f0b96a1ea44ee7962de",
-    ("peaked", 1): "9e2b0cdd334dd27b92e727529eb6d56bedcc8564e4314bd62b5ca6fd8bb9978c",
-    ("peaked", 16_383): "e8277b354eda025a4f62e3343e48b2eb1ec14b97632636a55f8920c1cc3da9b9",
-    ("peaked", 16_384): "62fbf450f2572d60bff4032618eeb98a743770fbcfd5411ef620848e3bf0512e",
-    ("peaked", 100_003): "6360c46f2b88d420d0dde8bbbe306c4891b47d726b8e2538804761faa407b5f3",
-    ("fourmode", 1): "1bbff76d0971c9e554b51a2c703ffcbebefc4fd60bb9cfaa15ebf260148e1174",
-    ("fourmode", 16_383): "73dec95fbd0a1b29f52e052861f4e70faea462df8b46486c404f191f6f7fc97a",
-    ("fourmode", 16_384): "8206ee75f6fdfb2ec7b9cc9457596e181d3cc6bd9830fd73e54fcc741e14d27a",
-    ("fourmode", 100_003): "834d504772e6f9c0c9f6b5dba04d64491036a7e1a2af7b42934b872530bc992c",
+    ("isotropic", 1): "66a51a1b6aa957aef63bd2ecf35b21cddcd1d74d869c749ef1295b7ffe533f4d",
+    ("isotropic", 16_383): "b7019cfd73992f6672973499f821d21952ddc1933de7c850dbe4f84d193daa65",
+    ("isotropic", 16_384): "f7456866e6411deec255ea9d17fc7f7ed5ee69e7146310dae349d3917bd159ba",
+    ("isotropic", 100_003): "84480d4ae6d9996639816c388f5de8fd31a53079bb936b0c9a8357985392cbbc",
+    ("peaked", 1): "d52b1134702fb1cb9ce1a47e9b2d35648c742417459a5e15a3ec3ee806f3ac3e",
+    ("peaked", 16_383): "90b36d803f3e0cac0858df14af038c77c2fae51bb1b80758335a0a65ea86645d",
+    ("peaked", 16_384): "4bad6547e6557254e3e693ffde8fb69b1c8f39bf9d89b54852e09ca1152b4453",
+    ("peaked", 100_003): "ad4ec09c34d10f50f01846141e81b53d51d5b99e71a5b2e4a5e768864b759310",
+    ("fourmode", 1): "0cb36728c2a7ecb3b6779a7dd23bbc9f4db508463af264cd3ee6c54e5a2aabda",
+    ("fourmode", 16_383): "e2d7304f8561bc1ff49ae5f0fabf68680ecb724fb071554fea95b8f04279be3d",
+    ("fourmode", 16_384): "107be6c8aa94bf1ec33d40bb45a1dadec438965a3e0d4360246c81157d319814",
+    ("fourmode", 100_003): "25a11b4bef783812c9ac8f13410b1b97f33e00d951be2234f7d176cdacbf3549",
 }
 
 
@@ -240,31 +246,35 @@ class TestSampling:
         ids=["isotropic", "peaked", "fourmode", "d5"],
     )
     def test_sample_equals_the_streamed_blocks(self, mix):
-        # The streamed blocks cycle three reused buffers, so each is copied
-        # as it comes.
+        # The streamed blocks are C-ordered (d, rows) arrays that cycle four
+        # reused buffers, so each is copied as it comes.
         block = _CHUNK_BUDGET // (2 * mix.dimension)
         for n in (1, block - 1, block, block + 1, 100_003):
             stream = RandomStream(2, n)
             blocks = [points.copy() for points in mix._blocks(stream, n)]
-            assert max(len(points) for points in blocks) <= block
-            np.testing.assert_array_equal(mix.sample(stream, n), np.concatenate(blocks))
+            assert all(points.shape[0] == mix.dimension for points in blocks)
+            assert all(points.flags.c_contiguous for points in blocks)
+            assert max(points.shape[1] for points in blocks) <= block
+            np.testing.assert_array_equal(
+                mix.sample(stream, n), np.concatenate(blocks, axis=1).T
+            )
 
-    def test_blocks_cycle_three_buffers(self):
-        # Block i stays valid while blocks i+1 and i+2 are drawn and is
-        # overwritten by block i+3, so a caller can score blocks i-1 and i
-        # while block i+1 is drawn: the sampler runs two blocks ahead.
+    def test_blocks_cycle_four_buffers(self):
+        # Block i stays valid while blocks i+1 to i+3 are drawn and is
+        # overwritten by block i+4, so a caller can score blocks i-2 to i
+        # while block i+1 is drawn: the sampler runs three blocks ahead.
         mix = bundled_mixture("peaked")
         block = _CHUNK_BUDGET // (2 * mix.dimension)
         blocks, copies = [], []
-        for points in mix._blocks(RandomStream(2, 0), 6 * block + 1):
-            for earlier, copy in zip(blocks[-2:], copies[-2:]):
+        for points in mix._blocks(RandomStream(2, 0), 8 * block + 1):
+            for earlier, copy in zip(blocks[-3:], copies[-3:]):
                 assert not np.shares_memory(points, earlier)
                 np.testing.assert_array_equal(earlier, copy)
-            if len(blocks) >= 3:
-                assert np.shares_memory(points, blocks[-3])
+            if len(blocks) >= 4:
+                assert np.shares_memory(points, blocks[-4])
             blocks.append(points)
             copies.append(points.copy())
-        assert len(blocks) == 7
+        assert len(blocks) == 9
 
     def test_component_without_draws(self):
         # The middle component gets no rows, so its slice of every block is empty.
@@ -316,9 +326,12 @@ class TestSampling:
         ids=["peaked", "fourmode", "d3"],
     )
     def test_scratch_memory_is_one_block(self, mix):
-        # Beyond its output the sampler keeps two vectors of one block's
-        # length (together half a _CHUNK_BUDGET of floats in 2-D), whatever n
-        # is; one byte a draw would already pass the bound at 2M draws.
+        # Beyond its output the sampler keeps its four block buffers and two
+        # scratch arrays of one block each, six blocks of at most half a
+        # _CHUNK_BUDGET of floats, whatever n is.  A 2-D ufunc call on a last
+        # block of fewer than 8192 floats may also take numpy's own 8192-float
+        # buffer for each of its three operands.  One byte a draw would
+        # already pass the bound at 2M draws.
         for n in (200_000, 2_000_000):
             tracemalloc.start()
             try:
@@ -326,7 +339,7 @@ class TestSampling:
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            assert peak <= out.nbytes + 8 * _CHUNK_BUDGET + 64 * 1024
+            assert peak <= out.nbytes + 8 * 3 * _CHUNK_BUDGET + 3 * 8 * 8192 + 64 * 1024
 
     def test_density_integrates_to_one(self):
         # Importance sampling against a wide proposal.
@@ -353,6 +366,15 @@ class TestRandomStream:
         c = mix.sample(RandomStream(98, 5), 1000)
         assert not np.array_equal(a, b)
         assert not np.array_equal(a, c)
+
+    def test_seed_and_stream_id_do_not_share_words(self):
+        # An entropy list [seed, stream_id] is split into 32-bit words, so
+        # these two identities would give the same words, state and draws.
+        for gen in (RandomStream(2**32 + 5, 7), RandomStream(5, 7 * 2**32 + 1)):
+            assert isinstance(gen.generator().bit_generator, np.random.SFC64)
+        a = RandomStream(2**32 + 5, 7).generator().standard_normal(8)
+        b = RandomStream(5, 7 * 2**32 + 1).generator().standard_normal(8)
+        assert not np.array_equal(a, b)
 
     def test_negative_ids_wrap(self):
         s = RandomStream(-1, 0)
