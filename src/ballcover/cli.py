@@ -2,10 +2,16 @@
 
 Subcommands: ``samplesize`` (training-size planning), ``calibrate``
 (build one uncertainty set), ``coverage`` (consistency experiment),
-``raster`` (set and density images), and ``solve`` (robust LP).  Every
-file-writing command drops a ``manifest.json`` beside its outputs that
-records the fully resolved configuration; feeding that manifest back
-through ``--config`` reproduces the run byte for byte.
+``raster`` (set and density images), and ``solve`` (robust LP).
+
+Each setting is stated once in ``_SETTINGS`` (default, accepted values,
+flag); ``_resolve_config`` overlays defaults, the ``--config`` file and the
+flags, then checks every value once.  A command computes its payload and
+the writers of its output files; only ``main`` creates ``--out-dir``,
+writes those files and a ``manifest.json`` that lists them and records the
+fully resolved configuration, and it does so only after the command has
+succeeded.  Feeding that manifest back through ``--config`` reproduces the
+run byte for byte.
 
 Exit codes: 0 success, 2 configuration or domain error (a request too
 large to allocate is one), 3 calibration guarantee violation
@@ -53,12 +59,9 @@ def _dump_json(payload: dict) -> str:
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
-def _write_json(path: Path, payload: dict) -> None:
-    path.write_text(_dump_json(payload))
-
-
-def _print_json(payload: dict) -> None:
-    sys.stdout.write(_dump_json(payload))
+def _json_file(payload: dict):
+    """A writer of ``payload`` as the JSON text the command prints."""
+    return lambda path: path.write_text(_dump_json(payload))
 
 
 def _read_json(path) -> object:
@@ -88,8 +91,14 @@ def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 _NUMBER = ("a number", _is_number)
-_INT = ("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool))
+_INT = ("an integer", _is_int)
+_COUNT = ("a positive integer", lambda v: _is_int(v) and v >= 1)
+_NORM = ("one of " + ", ".join(_NORM_NAMES), lambda v: v in _NORM_NAMES)
 _STR = ("a string", lambda v: isinstance(v, str))
 _BOOL = ("true or false", lambda v: isinstance(v, bool))
 _LAMBDA = ('a number or "optimal"', lambda v: _is_number(v) or isinstance(v, str))
@@ -98,9 +107,9 @@ _BBOX = (
     lambda v: isinstance(v, list) and len(v) == 4 and all(map(_is_number, v)),
 )
 
-# Every setting once: its default, the JSON type a config file must give it
-# (a setting whose default is None may also be null), its flag, and the
-# flag's argparse keywords.  Flags default to None, meaning "not given".
+# Every setting once: its default, the values it accepts from a config file
+# or a flag (a setting whose default is None may also be null), its flag,
+# and the flag's argparse keywords.  Flags default to None, "not given".
 _SETTINGS = {
     "alpha": (0.9, _NUMBER, "--alpha", dict(type=float, help="target probability mass")),
     "epsilon": (0.05, _NUMBER, "--eps", dict(type=float, help="mass overshoot tolerance")),
@@ -111,14 +120,14 @@ _SETTINGS = {
         "--lambda",
         dict(metavar="VALUE", help='quantile mixing weight in (0, 1), or "optimal"'),
     ),
-    "norm": ("l2", _STR, "--norm", dict(choices=_NORM_NAMES)),
+    "norm": ("l2", _NORM, "--norm", dict(help="ball norm: l1, l2 or linf")),
     "seed": (0, _INT, "--seed", dict(type=int, help="base seed for all randomness")),
     "mixture": (
         None, _STR, "--mixture", dict(help="bundled mixture name (isotropic, peaked, fourmode)")
     ),
-    "m": (None, _INT, "--m", dict(type=int, help="number of shape-sample centers")),
+    "m": (None, _COUNT, "--m", dict(type=int, help="number of shape-sample centers")),
     "shape_csv": (None, _STR, "--shape-csv", dict(help="headerless CSV of centers")),
-    "n": (None, _INT, "--n", dict(type=int, help="generated training-sample size")),
+    "n": (None, _COUNT, "--n", dict(type=int, help="generated training-sample size")),
     "train_csv": (None, _STR, "--train-csv", dict(help="headerless CSV of training points")),
     "strict": (
         True,
@@ -126,11 +135,11 @@ _SETTINGS = {
         "--strict",
         dict(action="store_true", help="refuse training samples below n_min (default)"),
     ),
-    "trials": (200, _INT, "--trials", dict(type=int, help="number of recalibration trials")),
+    "trials": (200, _COUNT, "--trials", dict(type=int, help="number of recalibration trials")),
     "coverage_samples": (
-        100_000, _INT, "--mc-samples", dict(type=int, help="coverage draws per trial")
+        100_000, _COUNT, "--mc-samples", dict(type=int, help="coverage draws per trial")
     ),
-    "resolution": (128, _INT, "--resolution", dict(type=int, help="pixels per axis")),
+    "resolution": (128, _COUNT, "--resolution", dict(type=int, help="pixels per axis")),
     "bbox": (
         None,
         _BBOX,
@@ -159,20 +168,22 @@ _SOURCES = ("norm", "seed", "mixture", "m", "shape_csv", "n", "train_csv", "stri
 
 
 def _resolve_config(args) -> dict:
-    """defaults, overlaid by the --config file, overlaid by explicit flags."""
+    """Defaults, overlaid by the --config file, overlaid by explicit flags;
+    then each resolved value is checked against its setting."""
     config = {key: _SETTINGS[key][0] for key in _COMMANDS[args.command][2]}
     if args.config is not None:
         for key, value in _load_config(args.config, args.command).items():
             if key not in config:
                 raise ValueError(f"unknown config key {key!r} for {args.command}")
-            default, (kind, accepts), _, _ = _SETTINGS[key]
-            if not (accepts(value) or (value is None and default is None)):
-                raise ValueError(f"config key {key!r} must be {kind}, got {value!r}")
             config[key] = value
     for key in config:
         value = getattr(args, key)
         if value is not None:
             config[key] = value
+    for key, value in config.items():
+        default, (kind, accepts), flag, _ = _SETTINGS[key]
+        if not (accepts(value) or (value is None and default is None)):
+            raise ValueError(f"config key {key!r} ({flag}) must be {kind}, got {value!r}")
     return config
 
 
@@ -194,39 +205,6 @@ def _resolve_lambda(config: dict) -> CalibrationSpec:
     return spec
 
 
-def _check_norm(value: str) -> Norm:
-    if value not in _NORM_NAMES:
-        raise ValueError(f"norm must be one of {_NORM_NAMES}, got {value!r}")
-    return Norm(value)
-
-
-def _positive_int(config: dict, key: str) -> int:
-    value = int(config[key])
-    if value < 1:
-        raise ValueError(f"{key} must be a positive integer, got {value}")
-    config[key] = value
-    return value
-
-
-def _out_dir(args) -> Path:
-    out = Path(args.out_dir or ".")
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
-def _write_manifest(out: Path, command: str, config: dict, outputs: list[str]) -> None:
-    _write_json(
-        out / "manifest.json",
-        {
-            "command": command,
-            "version": __version__,
-            "seed": config.get("seed"),
-            "config": config,
-            "outputs": sorted(outputs + ["manifest.json"]),
-        },
-    )
-
-
 def _load_csv(path: str) -> np.ndarray:
     data = np.loadtxt(path, delimiter=",", ndmin=2, dtype=float)
     if data.size == 0:
@@ -243,10 +221,8 @@ def _build_set(config: dict):
     Returns (set, mixture or None); fills the resolved generator sizes
     back into ``config`` so the manifest pins them.
     """
-    norm = _check_norm(config["norm"])
     spec = _resolve_lambda(config)
-    seed = int(config["seed"])
-    config["seed"] = seed
+    seed = config["seed"]
     mixture = None
     if config["mixture"] is not None:
         mixture = bundled_mixture(config["mixture"])
@@ -258,7 +234,7 @@ def _build_set(config: dict):
     else:
         if mixture is None or config["m"] is None:
             raise ValueError("shape sample needs --shape-csv, or --mixture and --m")
-        shape = mixture.sample(RandomStream(seed, 0), _positive_int(config, "m"))
+        shape = mixture.sample(RandomStream(seed, 0), config["m"])
 
     if config["train_csv"] is not None:
         if config["n"] is not None:
@@ -275,68 +251,55 @@ def _build_set(config: dict):
             raise ValueError("training sample needs --train-csv, or --mixture")
         if config["n"] is None:
             config["n"] = spec.n_min
-        training = mixture.sample(RandomStream(seed, 1), _positive_int(config, "n"))
+        training = mixture.sample(RandomStream(seed, 1), config["n"])
 
-    uset = calibrate_radius(shape, norm, training, spec, strict=config["strict"])
+    uset = calibrate_radius(shape, Norm(config["norm"]), training, spec, strict=config["strict"])
     return uset, mixture
 
 
-def _cmd_samplesize(config: dict, args) -> int:
+def _cmd_samplesize(config: dict):
     spec = _resolve_lambda(config)
     under, over = chernoff_violation_bounds(spec.n_min, spec.alpha, spec.epsilon, spec.alpha_n)
-    _print_json(
-        {
-            "alpha": spec.alpha,
-            "epsilon": spec.epsilon,
-            "delta": spec.delta,
-            "lambda": spec.lam,
-            "c": planning_constant(spec.alpha, spec.epsilon, spec.lam),
-            "alpha_n": spec.alpha_n,
-            "n_min": spec.n_min,
-            "bounds_at_n_min": {"undershoot": under, "overshoot": over},
-        }
-    )
-    return 0
+    payload = {
+        "alpha": spec.alpha,
+        "epsilon": spec.epsilon,
+        "delta": spec.delta,
+        "lambda": spec.lam,
+        "c": planning_constant(spec.alpha, spec.epsilon, spec.lam),
+        "alpha_n": spec.alpha_n,
+        "n_min": spec.n_min,
+        "bounds_at_n_min": {"undershoot": under, "overshoot": over},
+    }
+    return payload, {}, 0
 
 
-def _cmd_calibrate(config: dict, args) -> int:
-    out = _out_dir(args)
+def _cmd_calibrate(config: dict):
     uset, _ = _build_set(config)
     payload = uset.to_dict()
-    _write_json(out / "set.json", payload)
-    _write_manifest(out, "calibrate", config, ["set.json"])
-    _print_json(payload)
-    return 0
+    return payload, {"set.json": _json_file(payload)}, 0
 
 
-def _cmd_coverage(config: dict, args) -> int:
+def _cmd_coverage(config: dict):
     spec = _resolve_lambda(config)
     if config["mixture"] is None or config["m"] is None:
         raise ValueError("the coverage experiment needs --mixture and --m")
     cfg = ConsistencyConfig(
         mixture=bundled_mixture(config["mixture"]),
-        num_centers=_positive_int(config, "m"),
+        num_centers=config["m"],
         calibration=spec,
-        trials=_positive_int(config, "trials"),
-        coverage_samples=_positive_int(config, "coverage_samples"),
-        seed=int(config["seed"]),
-        norm=_check_norm(config["norm"]),
+        trials=config["trials"],
+        coverage_samples=config["coverage_samples"],
+        seed=config["seed"],
+        norm=Norm(config["norm"]),
     )
-    config["seed"] = cfg.seed
     report = run_consistency_experiment(cfg)
-    out = _out_dir(args)
-    report.write_csv(out / "coverage.csv")
     summary = report.summary()
-    _write_json(out / "summary.json", summary)
-    _write_manifest(out, "coverage", config, ["coverage.csv", "summary.json"])
-    _print_json(summary)
-    return 0
+    return summary, {"coverage.csv": report.write_csv, "summary.json": _json_file(summary)}, 0
 
 
-def _cmd_raster(config: dict, args) -> int:
-    out = _out_dir(args)
+def _cmd_raster(config: dict):
     uset, mixture = _build_set(config)
-    resolution = _positive_int(config, "resolution")
+    resolution = config["resolution"]
     if config["bbox"] is None:
         lo, hi = _volume_box(uset)
         bbox = tuple((float(a), float(b)) for a, b in zip(lo, hi))
@@ -346,13 +309,6 @@ def _cmd_raster(config: dict, args) -> int:
 
     grid = raster_set(uset, bbox, resolution)
     config["bbox"] = [bound for side in bbox for bound in side]
-    write_pgm(out / "set.pgm", grid)
-    write_grid_csv(out / "set_grid.csv", grid)
-    _write_json(out / "set.json", uset.to_dict())
-    outputs = ["set.pgm", "set_grid.csv", "set.json", "raster.json"]
-    if mixture is not None:
-        write_pgm(out / "density.pgm", raster_density(mixture, bbox, resolution))
-        outputs.append("density.pgm")
     box_area = (bbox[0][1] - bbox[0][0]) * (bbox[1][1] - bbox[1][0])
     payload = {
         "bbox": config["bbox"],
@@ -363,13 +319,19 @@ def _cmd_raster(config: dict, args) -> int:
         "num_centers": uset.num_balls,
         "norm": config["norm"],
     }
-    _write_json(out / "raster.json", payload)
-    _write_manifest(out, "raster", config, outputs)
-    _print_json(payload)
-    return 0
+    outputs = {
+        "set.pgm": lambda path: write_pgm(path, grid),
+        "set_grid.csv": lambda path: write_grid_csv(path, grid),
+        "set.json": _json_file(uset.to_dict()),
+        "raster.json": _json_file(payload),
+    }
+    if mixture is not None:
+        density = raster_density(mixture, bbox, resolution)
+        outputs["density.pgm"] = lambda path: write_pgm(path, density)
+    return payload, outputs, 0
 
 
-def _cmd_solve(config: dict, args) -> int:
+def _cmd_solve(config: dict):
     if config["bundled_example"] == (config["model"] is not None):
         raise ValueError("pass exactly one of --model or --bundled-example")
     if config["bundled_example"]:
@@ -378,15 +340,14 @@ def _cmd_solve(config: dict, args) -> int:
         model = RobustLinearProgram.from_dict(_read_json(config["model"]))
     report = solve_robust(model)
     payload = report.to_dict()
-    out = _out_dir(args)
-    _write_json(out / "report.json", payload)
-    _write_manifest(out, "solve", config, ["report.json"])
-    _print_json(payload)
-    return 0 if report.status is LPStatus.OPTIMAL else 4
+    exit_code = 0 if report.status is LPStatus.OPTIMAL else 4
+    return payload, {"report.json": _json_file(payload)}, exit_code
 
 
 # Each command: its handler, its help line, its settings, and whether it
-# writes files (and so takes --out-dir).
+# writes files (and so takes --out-dir).  A handler takes the resolved
+# config and returns (payload, outputs, exit code), where outputs maps each
+# file name to a function that writes that file at a given path.
 _COMMANDS = {
     "samplesize": (_cmd_samplesize, "plan the training-sample size", _LEVEL, False),
     "calibrate": (_cmd_calibrate, "calibrate one uncertainty set", _LEVEL + _SOURCES, True),
@@ -428,8 +389,24 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    handler, _, _, writes_files = _COMMANDS[args.command]
     try:
-        return _COMMANDS[args.command][0](_resolve_config(args), args)
+        config = _resolve_config(args)
+        payload, outputs, exit_code = handler(config)
+        if writes_files:
+            manifest = {
+                "command": args.command,
+                "version": __version__,
+                "seed": config.get("seed"),
+                "config": config,
+                "outputs": sorted([*outputs, "manifest.json"]),
+            }
+            out = Path(args.out_dir or ".")
+            out.mkdir(parents=True, exist_ok=True)
+            for name, write in {**outputs, "manifest.json": _json_file(manifest)}.items():
+                write(out / name)
+        sys.stdout.write(_dump_json(payload))
+        return exit_code
     except UndersampledError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

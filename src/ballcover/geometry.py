@@ -83,11 +83,24 @@ def _matrix(points, name: str = "points") -> np.ndarray:
     return arr
 
 
+def _power_of_two_scale(x: np.ndarray) -> float:
+    """The power of two ``2**(e-1)`` with ``max|x| / 2**(e-1)`` in [1, 2).
+
+    Dividing x by it keeps every product and square of a formula in range
+    whenever the answer itself is a finite double; where nothing overflows
+    or underflows the division is exact, so the scaled formula gives the
+    unscaled formula's bits.
+    """
+    return math.ldexp(1.0, math.frexp(float(np.max(np.abs(x))))[1] - 1)
+
+
 def norm_eval(x, norm: Norm) -> float:
     """Evaluate ||x||_p for p in {1, 2, inf}, folding the coordinates left to right."""
+    x = _vector(x)
+    scale = _power_of_two_scale(x)
     transform, combine, _ = _pair_rule(norm, 0.0)
-    total = float(combine.accumulate(transform(_vector(x)))[-1])
-    return math.sqrt(total) if norm is Norm.L2 else total
+    total = float(combine.accumulate(transform(x / scale))[-1])
+    return (math.sqrt(total) if norm is Norm.L2 else total) * scale
 
 
 def dual_norm_eval(x, norm: Norm) -> float:
@@ -108,6 +121,7 @@ def dual_achieving_direction(x, norm: Norm) -> np.ndarray:
         g[0] = 1.0
         return g
     if norm is Norm.L2:
+        x = x / _power_of_two_scale(x)
         return x / np.sqrt(np.dot(x, x))
     if norm is Norm.L1:
         j = int(np.argmax(np.abs(x)))
@@ -333,11 +347,9 @@ def worst_case_linear(uset: UncertaintySet, x) -> float:
 
     Over a single ball the maximum is x . center + radius * ||x||_dual;
     over the union it is the best center plus the same radius term.
-    A non-finite x raises ValueError.  x is divided by the power of two
-    ``scale`` with ``max|x| / scale`` in [1, 2) and the answer multiplied
-    back, so no product overflows when the answer itself is a finite
-    double; where nothing overflows or underflows the scaling is exact and
-    the answer is the unscaled formula's bit for bit.
+    A non-finite x raises ValueError.  x is divided by
+    :func:`_power_of_two_scale` and the answer multiplied back, so no
+    product overflows when the answer itself is a finite double.
     """
     x = _vector(x)
     if x.size != uset.dimension:
@@ -346,6 +358,6 @@ def worst_case_linear(uset: UncertaintySet, x) -> float:
         )
     if not np.isfinite(x).all():
         raise ValueError("x must be finite")
-    scale = math.ldexp(1.0, math.frexp(float(np.max(np.abs(x))))[1] - 1)
+    scale = _power_of_two_scale(x)
     x = x / scale
     return float(np.max(uset.centers @ x) + uset.radius * dual_norm_eval(x, uset.norm)) * scale

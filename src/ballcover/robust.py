@@ -28,6 +28,7 @@ from .geometry import (
     DimensionError,
     Norm,
     UncertaintySet,
+    _power_of_two_scale,
     dual_achieving_direction,
     member,
     worst_case_linear,
@@ -422,7 +423,7 @@ def pessimize(
             best_index = index
 
     uset = rlp.robust_rows[best_index].uncertainty_set
-    center = uset.centers[int(np.argmax(uset.centers @ x))]
+    center = uset.centers[int(np.argmax(uset.centers @ (x / _power_of_two_scale(x))))]
     step = uset.radius * dual_achieving_direction(x, uset.norm)
     witness = center + step
     # Rounding in the L2 direction, and in center + step when the radius is

@@ -31,6 +31,22 @@ def quiet_main(argv):
 CAL_ARGS = ["--mixture", "peaked", "--m", "6", "--n", "50", "--advisory", "--seed", "3"]
 
 
+def csv_sources(tmp_path):
+    rng = np.random.default_rng(6)
+    shape = tmp_path / "shape.csv"
+    train = tmp_path / "train.csv"
+    np.savetxt(shape, rng.normal(size=(4, 2)), delimiter=",")
+    np.savetxt(train, rng.normal(size=(80, 2)), delimiter=",")
+    return ["--shape-csv", str(shape), "--train-csv", str(train), "--advisory"]
+
+
+def infeasible_model(tmp_path):
+    model = tmp_path / "model.json"
+    rows = [{"a": [1.0], "b": -1.0}, {"a": [-1.0], "b": 0.0}]
+    model.write_text(json.dumps({"objective": [1.0], "rows": rows}))
+    return ["--model", str(model)]
+
+
 def write_deep_json(path):
     """A JSON array nested past the parser's recursion limit."""
     path.write_text("[" * 200_000 + "]" * 200_000)
@@ -115,25 +131,18 @@ class TestCalibrate:
         for name in ("set.json", "manifest.json"):
             assert (second / name).read_bytes() == (first / name).read_bytes()
 
-    def test_strict_undersampled_exits_3(self, tmp_path, capsys):
+    @pytest.mark.parametrize("source", ["csv", "n"])
+    def test_strict_undersampled_exits_3(self, tmp_path, capsys, source):
         train = tmp_path / "train.csv"
         train.write_text("0.1,0.2\n0.3,0.1\n0.2,0.4\n")
-        rc = main(
-            [
-                "calibrate",
-                "--mixture",
-                "peaked",
-                "--m",
-                "4",
-                "--train-csv",
-                str(train),
-                "--out-dir",
-                str(tmp_path),
-            ]
-        )
+        training = ["--train-csv", str(train)] if source == "csv" else ["--n", "10"]
+        out = tmp_path / "out"
+        rc = main(["calibrate", "--mixture", "peaked", "--m", "4", *training, "--out-dir", str(out)])
         assert rc == 3
-        assert "n_min" in capsys.readouterr().err
-        assert not (tmp_path / "set.json").exists()
+        captured = capsys.readouterr()
+        assert "n_min" in captured.err
+        assert captured.out == ""
+        assert not out.exists()
 
     def test_csv_sources(self, tmp_path):
         rng = np.random.default_rng(11)
@@ -356,7 +365,7 @@ class TestRaster:
         )
         assert rc == 2
         assert "bbox" in capsys.readouterr().err
-        assert not list(out.glob("set.*"))
+        assert not out.exists()
 
     def test_csv_sources_skip_density(self, tmp_path, capsys):
         rng = np.random.default_rng(4)
@@ -398,7 +407,7 @@ class TestRaster:
         )
         assert rc == 2
         assert "2-D set" in capsys.readouterr().err
-        assert not list(out.glob("set.*"))
+        assert not out.exists()
 
     def test_volume_matches_monte_carlo_study(self, tmp_path, capsys):
         """Raster area and the study's MC volume are two routes to one number.
@@ -453,10 +462,7 @@ class TestSolve:
         assert manifest["outputs"] == ["manifest.json", "report.json"]
 
     def test_infeasible_model_exits_4(self, tmp_path, capsys):
-        model = tmp_path / "model.json"
-        rows = [{"a": [1.0], "b": -1.0}, {"a": [-1.0], "b": 0.0}]
-        model.write_text(json.dumps({"objective": [1.0], "rows": rows}))
-        rc = main(["solve", "--model", str(model), "--out-dir", str(tmp_path)])
+        rc = main(["solve", *infeasible_model(tmp_path), "--out-dir", str(tmp_path)])
         assert rc == 4
         assert json.loads(capsys.readouterr().out)["status"] == "infeasible"
         assert read_json(tmp_path / "report.json")["status"] == "infeasible"
@@ -536,6 +542,27 @@ class TestSolve:
         assert report["x_star"] == pytest.approx([1e10], rel=1e-12)
 
 
+# Each file-writing run: a function of tmp_path giving its argv, and its exit code.
+WRITING_RUNS = {
+    "calibrate": (lambda tmp: ["calibrate", *CAL_ARGS], 0),
+    "coverage": (lambda tmp: TestCoverage.ARGS, 0),
+    "raster-mixture": (lambda tmp: ["raster", *CAL_ARGS, "--resolution", "8"], 0),
+    "raster-csv": (lambda tmp: ["raster", *csv_sources(tmp), "--resolution", "8"], 0),
+    "solve": (lambda tmp: ["solve", "--bundled-example"], 0),
+    "solve-infeasible": (lambda tmp: ["solve", *infeasible_model(tmp)], 4),
+}
+
+
+@pytest.mark.parametrize("run", WRITING_RUNS)
+def test_out_dir_holds_exactly_the_manifest_outputs(tmp_path, capsys, run):
+    argv, code = WRITING_RUNS[run]
+    out = tmp_path / "out"
+    assert quiet_main([*argv(tmp_path), "--out-dir", str(out)]) == code
+    capsys.readouterr()
+    manifest = read_json(out / "manifest.json")
+    assert sorted(path.name for path in out.iterdir()) == manifest["outputs"]
+
+
 LEVEL = ["alpha", "epsilon", "delta", "lambda"]
 SOURCES = ["norm", "seed", "mixture", "m", "shape_csv", "n", "train_csv", "strict"]
 COMMAND_SETTINGS = {
@@ -566,6 +593,22 @@ WRONGLY_TYPED = {
     "model": False,
     "bundled_example": 1,
 }
+# Values of the right JSON type that a setting still refuses, and its flag.
+OUT_OF_RANGE = {
+    "norm": ("--norm", ["l3"]),
+    "m": ("--m", [0, -1]),
+    "n": ("--n", [0, -1]),
+    "trials": ("--trials", [0, -1]),
+    "coverage_samples": ("--mc-samples", [0, -1]),
+    "resolution": ("--resolution", [0, -1]),
+}
+OUT_OF_RANGE_CASES = [
+    pytest.param(command, key, value, id=f"{command}-{key}={value}")
+    for command, keys in COMMAND_SETTINGS.items()
+    for key in keys
+    if key in OUT_OF_RANGE
+    for value in OUT_OF_RANGE[key][1]
+]
 WRONG_TYPE_CASES = [
     pytest.param("calibrate", {"mixture": "peaked", "m": 10, "alpha": [1]}, "alpha", id="list-alpha"),
     pytest.param("calibrate", {"mixture": 5, "m": 10}, "mixture", id="numeric-mixture"),
@@ -577,6 +620,9 @@ WRONG_TYPE_CASES = [
     for command, keys in COMMAND_SETTINGS.items()
     for key in keys
     if not (command == "calibrate" and key in ("alpha", "mixture", "strict"))
+] + [
+    pytest.param(command, {key: value}, key, id=f"{command}-{key}={value}")
+    for command, key, value in (case.values for case in OUT_OF_RANGE_CASES)
 ]
 
 
@@ -617,6 +663,16 @@ class TestConfigResolution:
         assert captured.out == ""
         assert not out.exists()
 
+    @pytest.mark.parametrize("command, key, value", OUT_OF_RANGE_CASES)
+    def test_out_of_range_flag_exits_2(self, tmp_path, capsys, command, key, value):
+        flag = OUT_OF_RANGE[key][0]
+        out = tmp_path / "out"
+        assert main([command, flag, str(value), "--out-dir", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert f"config key {key!r} ({flag})" in captured.err
+        assert captured.out == ""
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["samplesize", "calibrate", "solve"])
     def test_deeply_nested_config_exits_2(self, tmp_path, capsys, command):
         cfg = write_deep_json(tmp_path / "cfg.json")
@@ -649,6 +705,7 @@ def test_request_too_large_to_allocate_exits_2(tmp_path, capsys, argv):
     err = capsys.readouterr().err
     assert err.startswith("error:")
     assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
 
 
 class TestModuleEntryPoint:

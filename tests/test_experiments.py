@@ -1,7 +1,6 @@
 """Tests for the Monte-Carlo harnesses and raster helpers."""
 
 import math
-import os
 import threading
 import time
 import tracemalloc
@@ -143,18 +142,14 @@ class TestEstimateCoverage:
         + [("blocks", 1, -1), ("blocks", 1, 0), ("blocks", 1, 1), ("blocks", 2, 1)]
         + [100_003],
     )
-    @pytest.mark.parametrize("workers", [1, 2, 3, 5])
-    def test_split_matches_the_serial_formula(self, monkeypatch, workers, n, norm):
-        # However many CPUs the process reports, one worker thread scores
-        # every streamed block and the estimate is the serial formula.
-        # ("blocks", j, k) is k draws more than j streamed blocks hold.
+    def test_split_matches_the_serial_formula(self, monkeypatch, n, norm):
+        # One worker thread scores every streamed block and the estimate is
+        # the serial formula.  ("blocks", j, k) is k draws more than j
+        # streamed blocks hold.
         mix = bundled_mixture("peaked")
         uset = self.median_radius_set(mix, norm)
         if isinstance(n, tuple):
             n = n[1] * (_CHUNK_BUDGET // (2 * mix.dimension)) + n[2]
-        cpus = set(range(workers))
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
-        monkeypatch.setattr(os, "cpu_count", lambda: workers)
         scorers = set()
 
         def recording_member_columns(uset, columns):

@@ -129,6 +129,26 @@ class TestDualNorm:
             g = dual_achieving_direction(np.zeros(3), norm)
             np.testing.assert_array_equal(g, [1.0, 0.0, 0.0])
 
+    @pytest.mark.parametrize("size", [1e-170, 1e200])
+    def test_l2_direction_and_norm_where_x_dot_x_leaves_the_range(self, size):
+        # x . x underflows to 0 at 1e-170 and overflows at 1e200.
+        x = [size, size]
+        g = dual_achieving_direction(x, Norm.L2)
+        np.testing.assert_allclose(g, [math.sqrt(0.5)] * 2, rtol=1e-15)
+        assert norm_eval(x, Norm.L2) == pytest.approx(math.sqrt(2.0) * size, rel=1e-15)
+
+    def test_scaling_keeps_the_unscaled_bits(self):
+        # Dividing x by a power of two is exact when nothing overflows or
+        # underflows, so the L2 direction and every norm keep their bits.
+        rng = np.random.default_rng(24)
+        for _ in range(200):
+            x = rng.normal(size=int(rng.integers(1, 30))) * 10.0 ** rng.uniform(-30, 30)
+            direction = dual_achieving_direction(x, Norm.L2)
+            assert direction.tobytes() == (x / np.sqrt(np.dot(x, x))).tobytes()
+            assert norm_eval(x, Norm.L1) == float(np.add.accumulate(np.abs(x))[-1])
+            assert norm_eval(x, Norm.L2) == math.sqrt(float(np.add.accumulate(x * x)[-1]))
+            assert norm_eval(x, Norm.LINF) == float(np.max(np.abs(x)))
+
 
 class TestShapeValue:
     def test_nearest_center(self):

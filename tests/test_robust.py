@@ -1,7 +1,9 @@
 """Tests for robust linear programs and the cutting-plane solver."""
 
+import contextlib
 import json
 import math
+import signal
 
 import numpy as np
 import pytest
@@ -27,6 +29,22 @@ from ballcover.simplex import LPStatus
 
 def box_bounds(dim, lo=0.0, hi=3.0):
     return [(lo, hi)] * dim
+
+
+@contextlib.contextmanager
+def time_limit(seconds):
+    """Raise TimeoutError in the block if it runs longer than ``seconds``."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"no return within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def dual_magnitudes(points, norm):
@@ -494,6 +512,34 @@ class TestPessimize:
         )
         _, (_, witness) = pessimize(model, [0.0, 1.0])
         np.testing.assert_array_equal(witness, centers[1])
+
+    def test_tiny_l2_point_returns_a_member(self):
+        # x . x underflows to 0 here; unscaled, the direction was [inf, inf]
+        # and the shrink loop never reached a member.
+        uset = UncertaintySet([[1.0, 3.0]], 0.5, Norm.L2)
+        model = RobustLinearProgram(objective=[1.0, 1.0], robust_rows=(RobustRow(uset, 0.0),))
+        x = [1e-170, 1e-170]
+        with time_limit(10):
+            violation, (index, witness) = pessimize(model, x)
+        assert index == 0
+        assert member(uset, witness)
+        assert violation == worst_case_linear(uset, x)
+
+    def test_huge_l2_point_witness_attains_the_worst_case(self):
+        # centers @ x and x . x overflow here; unscaled, the witness was a
+        # center.
+        uset = UncertaintySet([[1.0, 3.0], [2.0, 4.0]], 0.5, Norm.L2)
+        model = RobustLinearProgram(objective=[1.0, 1.0], robust_rows=(RobustRow(uset, 0.0),))
+        x = np.array([1e308, -1e308])
+        with time_limit(10):
+            violation, (index, witness) = pessimize(model, x)
+        assert index == 0
+        assert member(uset, witness)
+        assert violation == worst_case_linear(uset, x)
+        scaled = x / 2.0**1023
+        assert float(witness @ scaled) == pytest.approx(
+            worst_case_linear(uset, scaled), rel=1e-12
+        )
 
     def test_no_robust_rows(self):
         model = RobustLinearProgram(
