@@ -563,6 +563,23 @@ def test_out_dir_holds_exactly_the_manifest_outputs(tmp_path, capsys, run):
     assert sorted(path.name for path in out.iterdir()) == manifest["outputs"]
 
 
+@pytest.mark.parametrize("run", WRITING_RUNS)
+def test_rerun_from_manifest_writes_the_same_bytes(tmp_path, capsys, run):
+    argv, code = WRITING_RUNS[run]
+    first = tmp_path / "first"
+    second = tmp_path / "second"
+    argv = argv(tmp_path)
+    assert quiet_main([*argv, "--out-dir", str(first)]) == code
+    out_first = capsys.readouterr().out
+    rerun = [argv[0], "--config", str(first / "manifest.json"), "--out-dir", str(second)]
+    assert quiet_main(rerun) == code
+    assert capsys.readouterr().out == out_first
+    names = sorted(path.name for path in first.iterdir())
+    assert sorted(path.name for path in second.iterdir()) == names
+    for name in names:
+        assert (second / name).read_bytes() == (first / name).read_bytes()
+
+
 LEVEL = ["alpha", "epsilon", "delta", "lambda"]
 SOURCES = ["norm", "seed", "mixture", "m", "shape_csv", "n", "train_csv", "strict"]
 COMMAND_SETTINGS = {

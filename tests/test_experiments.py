@@ -142,11 +142,13 @@ class TestEstimateCoverage:
         + [("blocks", 1, -1), ("blocks", 1, 0), ("blocks", 1, 1), ("blocks", 2, 1)]
         + [100_003],
     )
-    def test_split_matches_the_serial_formula(self, monkeypatch, n, norm):
+    @pytest.mark.parametrize("mixture", ["peaked", "d20"])
+    def test_split_matches_the_serial_formula(self, monkeypatch, mixture, n, norm):
         # One worker thread scores every streamed block and the estimate is
         # the serial formula.  ("blocks", j, k) is k draws more than j
-        # streamed blocks hold.
-        mix = bundled_mixture("peaked")
+        # streamed blocks hold; in 20-D a block holds a tenth of the 2-D
+        # rows and each is transformed in twenty coordinate sweeps.
+        mix = bundled_mixture("peaked") if mixture == "peaked" else twenty_dim_mixture()
         uset = self.median_radius_set(mix, norm)
         if isinstance(n, tuple):
             n = n[1] * (_CHUNK_BUDGET // (2 * mix.dimension)) + n[2]

@@ -129,9 +129,18 @@ class TestDualNorm:
             g = dual_achieving_direction(np.zeros(3), norm)
             np.testing.assert_array_equal(g, [1.0, 0.0, 0.0])
 
-    @pytest.mark.parametrize("size", [1e-170, 1e200])
+    @pytest.mark.parametrize(
+        "top", [5e-324, 1e-300, 0.75, 1.0, 1.5, 2.0, 3.0, 1e300, 1.7976931348623157e308]
+    )
+    def test_power_of_two_scale_brings_the_largest_entry_into_one_to_two(self, top):
+        x = np.array([top / 3.0, -top, top / 7.0])
+        scale = geometry._power_of_two_scale(x)
+        assert math.frexp(scale)[0] == 0.5
+        assert 1.0 <= top / scale < 2.0
+
+    @pytest.mark.parametrize("size", [1e-300, 1e-170, 1e200, 1e300])
     def test_l2_direction_and_norm_where_x_dot_x_leaves_the_range(self, size):
-        # x . x underflows to 0 at 1e-170 and overflows at 1e200.
+        # x . x underflows to 0 below about 1e-162 and overflows above about 1e154.
         x = [size, size]
         g = dual_achieving_direction(x, Norm.L2)
         np.testing.assert_allclose(g, [math.sqrt(0.5)] * 2, rtol=1e-15)

@@ -513,10 +513,11 @@ class TestPessimize:
         _, (_, witness) = pessimize(model, [0.0, 1.0])
         np.testing.assert_array_equal(witness, centers[1])
 
-    def test_tiny_l2_point_returns_a_member(self):
-        # x . x underflows to 0 here; unscaled, the direction was [inf, inf]
-        # and the shrink loop never reached a member.
-        uset = UncertaintySet([[1.0, 3.0]], 0.5, Norm.L2)
+    @pytest.mark.parametrize("norm", list(Norm))
+    def test_tiny_point_returns_a_member(self, norm):
+        # x . x underflows to 0 here; unscaled, the L2 direction was
+        # [inf, inf] and the shrink loop never reached a member.
+        uset = UncertaintySet([[1.0, 3.0]], 0.5, norm)
         model = RobustLinearProgram(objective=[1.0, 1.0], robust_rows=(RobustRow(uset, 0.0),))
         x = [1e-170, 1e-170]
         with time_limit(10):
@@ -525,10 +526,11 @@ class TestPessimize:
         assert member(uset, witness)
         assert violation == worst_case_linear(uset, x)
 
-    def test_huge_l2_point_witness_attains_the_worst_case(self):
-        # centers @ x and x . x overflow here; unscaled, the witness was a
-        # center.
-        uset = UncertaintySet([[1.0, 3.0], [2.0, 4.0]], 0.5, Norm.L2)
+    @pytest.mark.parametrize("norm", list(Norm))
+    def test_huge_point_witness_attains_the_worst_case(self, norm):
+        # centers @ x and x . x overflow here; unscaled, the L2 witness was
+        # a center.
+        uset = UncertaintySet([[1.0, 3.0], [2.0, 4.0]], 0.5, norm)
         model = RobustLinearProgram(objective=[1.0, 1.0], robust_rows=(RobustRow(uset, 0.0),))
         x = np.array([1e308, -1e308])
         with time_limit(10):
