@@ -120,7 +120,7 @@ _SETTINGS = {
         "--lambda",
         dict(metavar="VALUE", help='quantile mixing weight in (0, 1), or "optimal"'),
     ),
-    "norm": ("l2", _NORM, "--norm", dict(help="ball norm: l1, l2 or linf")),
+    "norm": ("l2", _NORM, "--norm", dict(help="ball norm: " + ", ".join(_NORM_NAMES))),
     "seed": (0, _INT, "--seed", dict(type=int, help="base seed for all randomness")),
     "mixture": (
         None, _STR, "--mixture", dict(help="bundled mixture name (isotropic, peaked, fourmode)")

@@ -30,6 +30,7 @@ __all__ = [
     "member",
     "member_batch",
     "worst_case_linear",
+    "worst_case_point",
 ]
 
 # Floats of kernel scratch: 64K floats (512 KB), so it stays in one core's L2
@@ -94,13 +95,18 @@ def _power_of_two_scale(x: np.ndarray) -> float:
     return math.ldexp(1.0, math.frexp(float(np.max(np.abs(x))))[1] - 1)
 
 
+def _norm_fold(x: np.ndarray, norm: Norm) -> float:
+    """||x||_p with no scaling: the coordinates folded left to right."""
+    transform, combine, _ = _pair_rule(norm, 0.0)
+    total = float(combine.accumulate(transform(x))[-1])
+    return math.sqrt(total) if norm is Norm.L2 else total
+
+
 def norm_eval(x, norm: Norm) -> float:
     """Evaluate ||x||_p for p in {1, 2, inf}, folding the coordinates left to right."""
     x = _vector(x)
     scale = _power_of_two_scale(x)
-    transform, combine, _ = _pair_rule(norm, 0.0)
-    total = float(combine.accumulate(transform(x / scale))[-1])
-    return (math.sqrt(total) if norm is Norm.L2 else total) * scale
+    return _norm_fold(x / scale, norm) * scale
 
 
 def dual_norm_eval(x, norm: Norm) -> float:
@@ -351,6 +357,33 @@ def worst_case_linear(uset: UncertaintySet, x) -> float:
     :func:`_power_of_two_scale` and the answer multiplied back, so no
     product overflows when the answer itself is a finite double.
     """
+    x, scale = _scaled_linear_argument(uset, x)
+    return float(np.max(uset.centers @ x) + uset.radius * _norm_fold(x, uset.norm.dual)) * scale
+
+
+def worst_case_point(uset: UncertaintySet, x) -> np.ndarray:
+    """A member u of the set at which x . u attains :func:`worst_case_linear`.
+
+    The best center (chosen on the scaled x, so no product overflows) plus
+    the radius times :func:`dual_achieving_direction`.  Rounding in the L2
+    direction, and in center + step when the radius is small next to the
+    center, can land that point just outside its ball; it is then pulled
+    toward the center by doubling shrinks, and at shrink 1 it is the center
+    itself, so the result is always a member.
+    """
+    scaled, _ = _scaled_linear_argument(uset, x)
+    center = uset.centers[int(np.argmax(uset.centers @ scaled))]
+    step = uset.radius * dual_achieving_direction(x, uset.norm)
+    point = center + step
+    shrink = 2.0**-52
+    while not member(uset, point):
+        point = center + (1.0 - shrink) * step
+        shrink *= 2.0
+    return point
+
+
+def _scaled_linear_argument(uset: UncertaintySet, x) -> tuple[np.ndarray, float]:
+    """Check x against the set and return ``(x / scale, scale)``."""
     x = _vector(x)
     if x.size != uset.dimension:
         raise DimensionError(
@@ -359,5 +392,4 @@ def worst_case_linear(uset: UncertaintySet, x) -> float:
     if not np.isfinite(x).all():
         raise ValueError("x must be finite")
     scale = _power_of_two_scale(x)
-    x = x / scale
-    return float(np.max(uset.centers @ x) + uset.radius * dual_norm_eval(x, uset.norm)) * scale
+    return x / scale, scale

@@ -28,10 +28,9 @@ from .geometry import (
     DimensionError,
     Norm,
     UncertaintySet,
-    _power_of_two_scale,
     dual_achieving_direction,
-    member,
     worst_case_linear,
+    worst_case_point,
 )
 from .simplex import LPStatus, solve_lp
 
@@ -422,18 +421,7 @@ def pessimize(
             best_violation = violation
             best_index = index
 
-    uset = rlp.robust_rows[best_index].uncertainty_set
-    center = uset.centers[int(np.argmax(uset.centers @ (x / _power_of_two_scale(x))))]
-    step = uset.radius * dual_achieving_direction(x, uset.norm)
-    witness = center + step
-    # Rounding in the L2 direction, and in center + step when the radius is
-    # small next to the center, can land the point just outside the ball.
-    # Pull it toward the center by doubling shrinks; at shrink 1 it is the
-    # center itself, so the loop ends on a member.
-    shrink = 2.0**-52
-    while not member(uset, witness):
-        witness = center + (1.0 - shrink) * step
-        shrink *= 2.0
+    witness = worst_case_point(rlp.robust_rows[best_index].uncertainty_set, x)
     return best_violation, (best_index, witness)
 
 

@@ -112,25 +112,6 @@ class TestCalibrate:
         assert config["strict"] is False
         assert config["n"] == 50
 
-    def test_rerun_from_manifest_is_byte_identical(self, tmp_path, capsys):
-        first = tmp_path / "first"
-        second = tmp_path / "second"
-        assert quiet_main(["calibrate", *CAL_ARGS, "--out-dir", str(first)]) == 0
-        out_first = capsys.readouterr().out
-        rc = quiet_main(
-            [
-                "calibrate",
-                "--config",
-                str(first / "manifest.json"),
-                "--out-dir",
-                str(second),
-            ]
-        )
-        assert rc == 0
-        assert capsys.readouterr().out == out_first
-        for name in ("set.json", "manifest.json"):
-            assert (second / name).read_bytes() == (first / name).read_bytes()
-
     @pytest.mark.parametrize("source", ["csv", "n"])
     def test_strict_undersampled_exits_3(self, tmp_path, capsys, source):
         train = tmp_path / "train.csv"
@@ -274,24 +255,6 @@ class TestCoverage:
             "manifest.json",
             "summary.json",
         ]
-
-    def test_rerun_from_manifest_is_byte_identical(self, tmp_path, capsys):
-        first = tmp_path / "first"
-        second = tmp_path / "second"
-        assert main([*self.ARGS, "--out-dir", str(first)]) == 0
-        capsys.readouterr()
-        rc = main(
-            [
-                "coverage",
-                "--config",
-                str(first / "manifest.json"),
-                "--out-dir",
-                str(second),
-            ]
-        )
-        assert rc == 0
-        for name in ("coverage.csv", "summary.json", "manifest.json"):
-            assert (second / name).read_bytes() == (first / name).read_bytes()
 
     def test_requires_mixture(self, capsys):
         assert main(["coverage", "--m", "4"]) == 2

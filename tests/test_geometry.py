@@ -22,6 +22,7 @@ from ballcover.geometry import (
     norm_eval,
     shape_values,
     worst_case_linear,
+    worst_case_point,
 )
 
 ALL_NORMS = [Norm.L1, Norm.L2, Norm.LINF]
@@ -619,13 +620,34 @@ class TestWorstCaseLinear:
             )
             assert worst_case_linear(uset, x) == unscaled
 
+    @pytest.mark.parametrize("norm", ALL_NORMS)
+    def test_worst_case_point_is_a_member_attaining_it(self, norm):
+        # At 1e200, x . x overflows; the point is checked against x / max|x|.
+        rng = np.random.default_rng(31)
+        for size in (1e-100, 1.0, 1e200):
+            for _ in range(20):
+                d = int(rng.integers(1, 5))
+                centers = rng.normal(size=(int(rng.integers(1, 5)), d))
+                uset = UncertaintySet(centers, float(rng.uniform(0.0, 2.0)), norm)
+                x = rng.normal(size=d) * size
+                point = worst_case_point(uset, x)
+                assert member(uset, point)
+                unit = x / np.max(np.abs(x))
+                assert float(point @ unit) == pytest.approx(
+                    worst_case_linear(uset, unit), rel=1e-12, abs=1e-12
+                )
+
     def test_dimension_mismatch(self):
         uset = UncertaintySet([(0, 0)], 1.0, Norm.L2)
         with pytest.raises(DimensionError):
             worst_case_linear(uset, (1, 2, 3))
+        with pytest.raises(DimensionError):
+            worst_case_point(uset, (1, 2, 3))
         # A non-finite x has no worst case (numpy would make it NaN).
         skew = UncertaintySet([[1, 2], [0, -1]], 0.5, Norm.L2)
         inf, nan = float("inf"), float("nan")
         for bad in ([inf, 0.0], [inf, -inf], [nan, 1.0]):
             with pytest.raises(ValueError, match="x must be finite"):
                 worst_case_linear(skew, bad)
+            with pytest.raises(ValueError, match="x must be finite"):
+                worst_case_point(skew, bad)
