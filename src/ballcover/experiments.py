@@ -55,13 +55,13 @@ def estimate_coverage(
 ) -> float:
     """Fraction of ``n_samples`` i.i.d. draws from ``mix`` inside the set.
 
-    The draws are streamed through :func:`_streamed_coverage`: the calling
-    thread draws each block into one of four reused buffers while one
-    worker thread, opened for this call, scores the blocks before it with
-    the kernel of :func:`~ballcover.geometry.member_batch` (numpy releases
-    the GIL inside both), so the memory does not grow with ``n_samples``.
-    The draws equal ``mix.sample(stream, n_samples)`` and the hit counts are
-    integers, so the estimate is the serial one.
+    The calling thread draws the coordinate-major blocks of
+    :meth:`GaussianMixture._blocks <ballcover.mixtures.GaussianMixture._blocks>`
+    into four reused buffers and scores each block where it lies with the
+    kernel of :func:`~ballcover.geometry.member_batch`, so the memory does
+    not grow with ``n_samples`` and no thread is started.  The draws equal
+    ``mix.sample(stream, n_samples)`` and the hit counts are integers, so
+    the estimate is the serial one.
     """
     _check_count("n_samples", n_samples)
     if mix.dimension != uset.dimension:
@@ -69,13 +69,11 @@ def estimate_coverage(
             f"mixture dimension {mix.dimension} does not match set dimension "
             f"{uset.dimension}"
         )
-    # Imported here so that commands which never estimate coverage skip it.
-    from concurrent.futures import Future, ThreadPoolExecutor
-
-    known = Future()
-    known.set_result(uset)
-    with ThreadPoolExecutor(1) as worker:
-        return _streamed_coverage(worker, known, mix, n_samples, stream)
+    hits = sum(
+        int(np.count_nonzero(_member_columns(uset, block)))
+        for block in mix._blocks(stream, n_samples)
+    )
+    return float(hits) / float(n_samples)
 
 
 def _score(uset, block: np.ndarray) -> int:

@@ -20,7 +20,7 @@ LP core.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -202,10 +202,10 @@ class SolveReport:
     ``max_violation`` is the largest constraint residual at ``x_star``
     (deterministic rows and robust worst cases alike; negative values mean
     slack) and is 0.0 when no point is reported.  ``cuts_added`` counts
-    the cuts added to the L2 cone, feasibility solve included; it is 0 for
-    models without an L2 ball of positive radius.  The stopping tolerance
-    ``FEASIBILITY_TOL`` and the cut cap that governed the solve are
-    recorded for reproducibility.
+    the cuts added to the L2 cone, those that confirm an UNBOUNDED model
+    included; it is 0 for models without an L2 ball of positive radius.
+    The stopping tolerance ``FEASIBILITY_TOL`` and the cut cap that
+    governed the solve are recorded for reproducibility.
     """
 
     status: LPStatus
@@ -324,12 +324,14 @@ class _Relaxation:
         return np.array(self.rows).reshape(len(self.rows), self.width), np.array(self.rhs)
 
 
+def _worst_cases(rows, x: np.ndarray) -> list[float]:
+    """Each robust row's worst case at ``x`` less its bound: above 0 it is violated."""
+    return [worst_case_linear(row.uncertainty_set, x) - row.b for row in rows]
+
+
 def _certificate(rlp: RobustLinearProgram, x: np.ndarray) -> float:
     residuals = [float(row.a @ x) - row.b for row in rlp.deterministic_rows]
-    residuals += [
-        worst_case_linear(row.uncertainty_set, x) - row.b for row in rlp.robust_rows
-    ]
-    return max(residuals, default=0.0)
+    return max(residuals + _worst_cases(rlp.robust_rows, x), default=0.0)
 
 
 def solve(rlp: RobustLinearProgram, *, max_cuts: int = MAX_CUTS) -> SolveReport:
@@ -343,20 +345,21 @@ def solve(rlp: RobustLinearProgram, *, max_cuts: int = MAX_CUTS) -> SolveReport:
     gradient cut ``(x_hat / ||x_hat||_2) . x <= t`` to the L2 cone and
     solves again, for at most ``max_cuts`` rounds in all.  An unbounded
     relaxation's ray ``(ray_x, ray_t)`` is cut the same way unless
-    ``||ray_x||_2 <= ray_t * (1 + FEASIBILITY_TOL)``; then the model is
-    UNBOUNDED if a zero-objective solve finds it feasible.
+    ``||ray_x||_2 <= ray_t * (1 + FEASIBILITY_TOL)``; then the same loop
+    goes on with the objective dropped, keeping its cuts, and the model is
+    UNBOUNDED once an iterate is robust-feasible.
     """
-    dim = rlp.num_variables
     cone_rows = [
         row
         for row in rlp.robust_rows
         if row.uncertainty_set.norm is Norm.L2 and row.uncertainty_set.radius > 0.0
     ]
-    lift, shift = _substitution(rlp.bounds, dim)
+    lift, shift = _substitution(rlp.bounds, rlp.num_variables)
     lp = _Relaxation(rlp, lift, shift)
     cost = np.zeros(lp.width)
     cost[: lift.shape[1]] = rlp.objective @ lift
     cuts_added = 0
+    unbounded = False
 
     while True:
         result = solve_lp(cost, *lp.arrays())
@@ -365,20 +368,15 @@ def solve(rlp: RobustLinearProgram, *, max_cuts: int = MAX_CUTS) -> SolveReport:
             point = lift @ result.ray[: lift.shape[1]]
             ray_t = result.ray[lp.t_col[Norm.L2]]
             if np.linalg.norm(point) <= ray_t * (1.0 + FEASIBILITY_TOL):
-                zero = replace(rlp, objective=np.zeros(dim))
-                inner = solve(zero, max_cuts=max_cuts - cuts_added)
-                cuts_added += inner.cuts_added
-                status = LPStatus.UNBOUNDED if inner.status is LPStatus.OPTIMAL else inner.status
-                break
+                # Unbounded if robust-feasible: drop the objective, cut on to a point.
+                unbounded = True
+                cost[:] = 0.0
+                continue
         elif status is not LPStatus.OPTIMAL:
             break
         else:
             x_hat = point = lift @ result.x[: lift.shape[1]] + shift
-            violation = max(
-                (worst_case_linear(row.uncertainty_set, x_hat) - row.b for row in cone_rows),
-                default=-math.inf,
-            )
-            if violation <= FEASIBILITY_TOL:
+            if max(_worst_cases(cone_rows, x_hat), default=-math.inf) <= FEASIBILITY_TOL:
                 break
         if cuts_added >= max_cuts:
             status = LPStatus.ITERATION_LIMIT
@@ -386,11 +384,15 @@ def solve(rlp: RobustLinearProgram, *, max_cuts: int = MAX_CUTS) -> SolveReport:
         lp.add(dual_achieving_direction(point, Norm.L2), 0.0, aux=[(lp.t_col[Norm.L2], -1.0)])
         cuts_added += 1
 
-    if x_hat is None:
-        return SolveReport(status, None, None, cuts_added, 0.0, max_cuts=max_cuts)
-    objective = float(rlp.objective @ x_hat)
+    if unbounded:
+        status, x_hat = (LPStatus.UNBOUNDED if status is LPStatus.OPTIMAL else status), None
     return SolveReport(
-        status, x_hat, objective, cuts_added, _certificate(rlp, x_hat), max_cuts=max_cuts
+        status,
+        x_hat,
+        None if x_hat is None else float(rlp.objective @ x_hat),
+        cuts_added,
+        0.0 if x_hat is None else _certificate(rlp, x_hat),
+        max_cuts=max_cuts,
     )
 
 
@@ -400,8 +402,8 @@ def pessimize(
     """Worst violation over the robust rows at ``x`` and a witness point.
 
     Returns ``(max_violation, (row_index, u))`` where ``u`` lies in the
-    offending row's set and attains its worst case; with no robust rows
-    the result is ``(-inf, None)``.
+    first row of largest violation and attains its worst case; with no
+    robust rows the result is ``(-inf, None)``.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim != 1 or x.size != rlp.num_variables:
@@ -413,16 +415,9 @@ def pessimize(
     if not rlp.robust_rows:
         return float("-inf"), None
 
-    best_violation = float("-inf")
-    best_index = 0
-    for index, row in enumerate(rlp.robust_rows):
-        violation = worst_case_linear(row.uncertainty_set, x) - row.b
-        if violation > best_violation:
-            best_violation = violation
-            best_index = index
-
-    witness = worst_case_point(rlp.robust_rows[best_index].uncertainty_set, x)
-    return best_violation, (best_index, witness)
+    violations = _worst_cases(rlp.robust_rows, x)
+    index = int(np.argmax(violations))
+    return violations[index], (index, worst_case_point(rlp.robust_rows[index].uncertainty_set, x))
 
 
 def bundled_example() -> RobustLinearProgram:

@@ -144,25 +144,30 @@ class TestEstimateCoverage:
     )
     @pytest.mark.parametrize("mixture", ["peaked", "d20"])
     def test_split_matches_the_serial_formula(self, monkeypatch, mixture, n, norm):
-        # One worker thread scores every streamed block and the estimate is
-        # the serial formula.  ("blocks", j, k) is k draws more than j
-        # streamed blocks hold; in 20-D a block holds a tenth of the 2-D
-        # rows and each is transformed in twenty coordinate sweeps.
+        # The calling thread scores every streamed block, no thread is
+        # started, and the estimate is the serial formula.  ("blocks", j, k)
+        # is k draws more than j streamed blocks hold; in 20-D a block holds
+        # a tenth of the 2-D rows and each is transformed in twenty
+        # coordinate sweeps.
         mix = bundled_mixture("peaked") if mixture == "peaked" else twenty_dim_mixture()
         uset = self.median_radius_set(mix, norm)
         if isinstance(n, tuple):
             n = n[1] * (_CHUNK_BUDGET // (2 * mix.dimension)) + n[2]
-        scorers = set()
+        scorers, started = set(), []
+        start = threading.Thread.start
 
         def recording_member_columns(uset, columns):
             scorers.add(threading.get_ident())
             return _member_columns(uset, columns)
 
+        def recording_start(thread):
+            started.append(thread)
+            start(thread)
+
         monkeypatch.setattr(experiments, "_member_columns", recording_member_columns)
-        threads = threading.active_count()
+        monkeypatch.setattr(threading.Thread, "start", recording_start)
         value = estimate_coverage(uset, mix, n, RandomStream(8, n))
-        assert threading.active_count() == threads
-        assert len(scorers) == 1 and threading.get_ident() not in scorers
+        assert scorers == {threading.get_ident()} and started == []
         serial = np.count_nonzero(member_batch(uset, mix.sample(RandomStream(8, n), n))) / n
         assert value == serial
 

@@ -2,7 +2,8 @@
 
 Importing ballcover, and the commands that never need scipy, load no
 scipy module; nor do they load concurrent.futures, which only the
-coverage estimate uses.
+consistency experiment uses.  The benchmark's tracer finds every name it
+wraps.
 """
 
 import importlib
@@ -10,10 +11,13 @@ import json
 import pkgutil
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 import ballcover
+
+BENCHMARKS = Path(__file__).resolve().parents[1] / "benchmarks"
 
 # The names the README's library example uses; everything else is imported
 # from its submodule.
@@ -70,3 +74,19 @@ def test_top_level_exports_exactly_the_library_names():
 def test_every_submodule_export_exists(name):
     module = importlib.import_module(f"ballcover.{name}")
     assert [export for export in module.__all__ if not hasattr(module, export)] == []
+
+
+def test_benchmark_tracer_wraps_names_that_exist(monkeypatch):
+    # benchmarks/tracing.py rebinds ballcover names by getattr, so renaming
+    # or deleting one of them fails here.
+    monkeypatch.syspath_prepend(str(BENCHMARKS))
+    monkeypatch.delitem(sys.modules, "tracing", raising=False)
+    tracing = importlib.import_module("tracing")
+    tracer = tracing.Tracer()
+    try:
+        tracing.install(tracer)
+        wrapped = list(tracer._restore)
+    finally:
+        tracer.uninstall()
+    assert wrapped
+    assert [attr for owner, attr, original in wrapped if getattr(owner, attr) is not original] == []

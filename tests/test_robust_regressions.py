@@ -87,6 +87,25 @@ class TestRecedingRay:
         assert report.status is LPStatus.UNBOUNDED
         assert report.cuts_added == 7
 
+    def test_unboundedness_is_confirmed_on_the_same_relaxation(self, monkeypatch):
+        # Once a ray lies inside the cone, the loop drops the objective and
+        # keeps cutting the LP it has: same rows, same right-hand sides.
+        calls = []
+
+        def recording_solve_lp(c, A, b, **kwargs):
+            result = solve_lp(c, A, b, **kwargs)
+            calls.append((np.array(c), np.array(A), np.array(b), result))
+            return result
+
+        monkeypatch.setattr(robust, "solve_lp", recording_solve_lp)
+        assert solve(self.model()).status is LPStatus.UNBOUNDED
+        ray = max(k for k, call in enumerate(calls) if call[3].status is LPStatus.UNBOUNDED)
+        _, ray_rows, ray_rhs, _ = calls[ray]
+        cost, rows, rhs, _ = calls[ray + 1]
+        np.testing.assert_array_equal(rows, ray_rows)
+        np.testing.assert_array_equal(rhs, ray_rhs)
+        assert not np.any(cost)
+
     @pytest.mark.parametrize("max_cuts", range(7))
     def test_one_cut_budget_covers_both_solves(self, max_cuts):
         report = solve(self.model(), max_cuts=max_cuts)
