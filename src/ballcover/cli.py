@@ -95,13 +95,21 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _float_or_text(text: str):
+    """The float ``text`` spells, or ``text`` itself for its setting to reject."""
+    try:
+        return float(text)
+    except ValueError:
+        return text
+
+
 _NUMBER = ("a number", _is_number)
 _INT = ("an integer", _is_int)
 _COUNT = ("a positive integer", lambda v: _is_int(v) and v >= 1)
 _NORM = ("one of " + ", ".join(_NORM_NAMES), lambda v: v in _NORM_NAMES)
 _STR = ("a string", lambda v: isinstance(v, str))
 _BOOL = ("true or false", lambda v: isinstance(v, bool))
-_LAMBDA = ('a number or "optimal"', lambda v: _is_number(v) or isinstance(v, str))
+_LAMBDA = ('a number or "optimal"', lambda v: _is_number(v) or v == "optimal")
 _BBOX = (
     "a list of four numbers",
     lambda v: isinstance(v, list) and len(v) == 4 and all(map(_is_number, v)),
@@ -118,7 +126,7 @@ _SETTINGS = {
         "optimal",
         _LAMBDA,
         "--lambda",
-        dict(metavar="VALUE", help='quantile mixing weight in (0, 1), or "optimal"'),
+        dict(type=_float_or_text, help='quantile mixing weight in (0, 1), or "optimal"'),
     ),
     "norm": ("l2", _NORM, "--norm", dict(help="ball norm: " + ", ".join(_NORM_NAMES))),
     "seed": (0, _INT, "--seed", dict(type=int, help="base seed for all randomness")),
@@ -189,18 +197,13 @@ def _resolve_config(args) -> dict:
 
 def _resolve_lambda(config: dict) -> CalibrationSpec:
     """Build the calibration spec and echo the numeric lambda back."""
-    lam = config["lambda"]
-    if isinstance(lam, str) and lam != "optimal":
-        lam = float(lam)
     spec = CalibrationSpec(
         alpha=float(config["alpha"]),
         epsilon=float(config["epsilon"]),
         delta=float(config["delta"]),
-        lam=lam,
+        lam=config["lambda"],
     )
-    config["alpha"] = spec.alpha
-    config["epsilon"] = spec.epsilon
-    config["delta"] = spec.delta
+    config.update(alpha=spec.alpha, epsilon=spec.epsilon, delta=spec.delta)
     config["lambda"] = spec.lam
     return spec
 

@@ -26,7 +26,7 @@ from .geometry import (
     _pair_rule,
     member_batch,
 )
-from .mixtures import _BLOCK_BUFFERS, GaussianMixture, RandomStream
+from .mixtures import GaussianMixture, RandomStream
 
 __all__ = [
     "ConsistencyConfig",
@@ -39,6 +39,11 @@ __all__ = [
     "write_pgm",
     "write_grid_csv",
 ]
+
+
+# Scoring tasks _streamed_coverage keeps pending.  Each holds its own block,
+# so a stream keeps at most four blocks (1 MB in 2-D) alive.
+_BLOCKS_IN_FLIGHT = 4
 
 
 def _check_count(name: str, value, *, zero_ok: bool = False) -> None:
@@ -57,9 +62,9 @@ def estimate_coverage(
 
     The calling thread draws the coordinate-major blocks of
     :meth:`GaussianMixture._blocks <ballcover.mixtures.GaussianMixture._blocks>`
-    into four reused buffers and scores each block where it lies with the
-    kernel of :func:`~ballcover.geometry.member_batch`, so the memory does
-    not grow with ``n_samples`` and no thread is started.  The draws equal
+    one at a time and scores each block where it lies with the kernel of
+    :func:`~ballcover.geometry.member_batch`, so the memory does not grow
+    with ``n_samples`` and no thread is started.  The draws equal
     ``mix.sample(stream, n_samples)`` and the hit counts are integers, so
     the estimate is the serial one.
     """
@@ -92,17 +97,17 @@ def _streamed_coverage(
     scored.  The calling thread draws the blocks of
     :meth:`GaussianMixture._blocks <ballcover.mixtures.GaussianMixture._blocks>`
     and submits one scoring task per block, which scores the coordinate-major
-    block where it lies, without a transposed copy.  The sampler cycles
-    ``_BLOCK_BUFFERS`` (four) buffers, so the count of block i-3 is
-    collected before block i+1 is drawn into its buffer: the caller may run
-    three blocks ahead of the worker.  An error in ``uset`` or in a scoring
-    task is raised here.
+    block where it lies, without a transposed copy.  Each block is its own
+    array, so the sampler never overwrites a block being scored; to bound
+    the memory, at most ``_BLOCKS_IN_FLIGHT`` (four) tasks are pending, the
+    count of block i-3 being collected before block i+1 is drawn.  An error
+    in ``uset`` or in a scoring task is raised here.
     """
     hits = 0
     pending = deque()
     for block in mix._blocks(stream, n_samples):
         pending.append(worker.submit(_score, uset, block))
-        if len(pending) == _BLOCK_BUFFERS:
+        if len(pending) == _BLOCKS_IN_FLIGHT:
             hits += pending.popleft().result()
     hits += sum(scoring.result() for scoring in pending)
     return float(hits) / float(n_samples)
@@ -208,8 +213,8 @@ def run_consistency_experiment(cfg: ConsistencyConfig) -> CoverageReport:
     One worker thread serves every trial of the call.  For each trial it
     first draws the training sample and calibrates the radius, while the
     calling thread already draws the coverage blocks, which do not depend
-    on the radius; it then scores those blocks against the calibrated set
-    (see :func:`_streamed_coverage`).
+    on the radius, up to three blocks ahead of the scorer; it then scores
+    those blocks against the calibrated set (see :func:`_streamed_coverage`).
     """
     # Imported here so that commands which never estimate coverage skip it.
     from concurrent.futures import ThreadPoolExecutor

@@ -39,10 +39,10 @@ __all__ = [
 # makes one block); ``member_batch``'s kernel splits it into two (g, left)
 # slots, a running sum and the next coordinate's terms; ``raster_set`` keeps
 # each (balls, rows, cols) block of pair sums in half of it.  All fold a pair
-# by ``_pair_rule``.  ``GaussianMixture._blocks`` draws coordinate-major
-# (d, rows) blocks of half a budget of floats and transforms each with two
-# scratch arrays of the same size, so a drawn block has at most half a budget
-# of rows and ``_member_columns`` scores it whole, where it lies.
+# by ``_pair_rule``.  ``GaussianMixture._blocks`` draws each coordinate-major
+# (d, rows) block of half a budget of floats into its own array and transforms
+# it with two scratch arrays of the same size, so a drawn block has at most
+# half a budget of rows and ``_member_columns`` scores it whole, where it lies.
 _CHUNK_BUDGET = 65_536
 
 

@@ -35,8 +35,8 @@ __all__ = [
 ]
 
 _UINT64 = 2**64
-# Reused buffers that GaussianMixture._blocks cycles.
-_BLOCK_BUFFERS = 4
+# Probability mass still in doubt at which true_ball_mass stops refining.
+_MASS_ABS_TOL = 1e-4
 
 
 @dataclass(frozen=True)
@@ -149,9 +149,9 @@ class GaussianMixture:
         """Draw n i.i.d. points: component counts, then mean + L z per point.
 
         The blocks of :meth:`_blocks` are transposed into their rows of the
-        (n, d) output, so beyond the output the scratch memory is the
-        sampler's fixed set of block buffers whatever n is, and no (n, d, d)
-        copy of the factors is made.
+        (n, d) output as they come, so beyond the output the scratch memory
+        is a few blocks whatever n is, and no (n, d, d) copy of the factors
+        is made.
         """
         if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
             raise TypeError(f"n must be an integer, got {type(n).__name__}")
@@ -175,7 +175,7 @@ class GaussianMixture:
         contiguous draws ``edges[k]:edges[k+1]``, ``edges`` being the running
         sum of the counts from 0.  Every estimator treats a sample as an
         unordered set, so grouping the draws by component changes no law.
-        Then each block's standard normals ``z`` are drawn straight into a
+        Then each block's standard normals ``z`` are drawn into a new
         C-ordered (d, rows) array, coordinate 0 of every draw first, and
         each component's columns of the block are transformed with d
         sweeps, ``acc[j:] += F[j:, j] * z[j]`` for j = 0 to d-1, ``F`` being
@@ -184,25 +184,17 @@ class GaussianMixture:
         added left to right.  The sweeps use two (d, rows) scratch arrays,
         the running sums and the next products, and the result overwrites
         ``z``.  A block has ``_CHUNK_BUDGET // (2 * d)`` draws, half a
-        budget of floats.
-
-        The blocks cycle through ``_BLOCK_BUFFERS`` (four) reused buffers, so
-        block i stays valid until block i+4 is requested: a caller may score
-        blocks i-2, i-1 and i while block i+1 is drawn, so the sampler may
-        run three blocks ahead of its scorer.
+        budget of floats.  Each block is the caller's: the sampler never
+        writes it again.
         """
         d = self.dimension
         block = max(1, _CHUNK_BUDGET // (2 * d))
         rng = stream.generator()
         edges = np.concatenate(([0], np.cumsum(rng.multinomial(n, self._weights))))
-        buffers = np.empty((_BLOCK_BUFFERS, d * min(n, block)))
         acc, term = np.empty((2, d, min(n, block)))
-        for i, start in enumerate(range(0, n, block)):
+        for start in range(0, n, block):
             stop = min(start + block, n)
-            # standard_normal fills a C-ordered out; a prefix of the flat
-            # buffer keeps a short last block C-ordered too.
-            z = buffers[i % _BLOCK_BUFFERS, : d * (stop - start)].reshape(d, -1)
-            rng.standard_normal(out=z)
+            z = rng.standard_normal((d, stop - start))
             cuts = np.clip(edges, start, stop) - start
             for lo, hi, mean, factor in zip(cuts[:-1], cuts[1:], self._means, self._factors):
                 draws, sums, products = z[:, lo:hi], acc[:, : hi - lo], term[:, : hi - lo]
@@ -297,16 +289,14 @@ def _cell_density_integral(mix: GaussianMixture, cells: np.ndarray, hw: np.ndarr
     return total * volume / offsets.shape[0]
 
 
-def true_ball_mass(
-    mix: GaussianMixture, uset: UncertaintySet, *, abs_tol: float = 1e-4
-) -> float:
+def true_ball_mass(mix: GaussianMixture, uset: UncertaintySet) -> float:
     """Probability mass of the union of balls, by adaptive quadrature.
 
     Cells whose closure is provably inside or outside the union (the
     nearest-center distance is 1-Lipschitz in the ball norm) are resolved
     immediately; cells straddling the boundary are split until the density
-    mass still in doubt is below ``abs_tol``.  Dimensions 1-3 only; use
-    Monte-Carlo estimation above that.
+    mass still in doubt is below ``_MASS_ABS_TOL`` (1e-4).  Dimensions 1-3
+    only; use Monte-Carlo estimation above that.
     """
     if mix.dimension != uset.dimension:
         raise DimensionError(
@@ -346,7 +336,7 @@ def true_ball_mass(
         # (the factor absorbs in-cell density variation at these cell sizes).
         volume = float(np.prod(2.0 * hw))
         doubt = 2.0 * float(np.sum(mix.density(cells))) * volume
-        if doubt <= 0.5 * abs_tol:
+        if doubt <= 0.5 * _MASS_ABS_TOL:
             break
         cells = (cells[:, np.newaxis, :] + child_offsets[np.newaxis, :, :] * (hw / 2.0)).reshape(
             -1, d

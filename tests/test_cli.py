@@ -80,9 +80,19 @@ class TestSamplesize:
         err = capsys.readouterr().err
         assert err.startswith("error: n_min ") and f"delta={float(delta)}" in err
 
-    def test_unparseable_lambda_exits_2(self, capsys):
-        assert main(["samplesize", "--lambda", "frog"]) == 2
-        assert capsys.readouterr().err.startswith("error:")
+    def test_unparseable_lambda_exits_2(self, tmp_path, capsys):
+        # A flag that is not a number, or a config value of the wrong JSON
+        # type, is rejected by the setting's own rule, which names both.
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({"lambda": "0.3"}))
+        for argv, value in (
+            (["samplesize", "--lambda", "frog"], "'frog'"),
+            (["samplesize", "--config", str(cfg)], "'0.3'"),
+        ):
+            assert main(argv) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: config key 'lambda' (--lambda) must be ")
+            assert err.rstrip().endswith(f"got {value}")
 
     def test_out_dir_is_rejected(self, tmp_path, capsys):
         # samplesize writes no file, so --out-dir is an unknown flag.

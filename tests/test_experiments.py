@@ -102,10 +102,9 @@ class TestEstimateCoverage:
         assert estimate_coverage(uset, standard_normal_2d(), np.int64(7), RandomStream(1, 0)) == 1.0
 
     def test_scratch_memory_does_not_grow_with_the_draw_count(self):
-        # The draws are streamed through four reused blocks and the counts are
-        # one integer per component, so ten times the draws keeps the same
-        # peak.  One byte a draw would add 1.8 MB; the worker's scoring
-        # blocks move the peak by up to about 0.1 MB from run to run.
+        # The draws are streamed one block at a time and the counts are one
+        # integer per component, so ten times the draws keeps the same peak.
+        # One byte a draw would add 1.8 MB.
         mix = bundled_mixture("peaked")
         uset = self.median_radius_set(mix, Norm.L2)
         estimate_coverage(uset, mix, 200_000, RandomStream(1, 1))
@@ -338,9 +337,9 @@ class TestConsistencyPipeline:
     def test_equals_the_serial_reference(self, mixture, norm, blocks, extra):
         self.assert_serial(self.config(mixture, norm, blocks * self.BLOCK + extra))
 
-    def test_slow_scorer_reads_every_block_before_it_is_reused(self, monkeypatch):
-        # A sampler that ran more than three blocks ahead of a slow scorer
-        # would overwrite a buffer before it was scored.
+    def test_slow_scorer_gives_the_serial_coverage(self, monkeypatch):
+        # With a slow scorer the calling thread draws as far ahead as the
+        # pipeline lets it; every block is still scored as it was drawn.
         def slow_member_columns(uset, columns):
             time.sleep(0.001)
             return _member_columns(uset, columns)

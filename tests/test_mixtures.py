@@ -246,12 +246,11 @@ class TestSampling:
         ids=["isotropic", "peaked", "fourmode", "d5"],
     )
     def test_sample_equals_the_streamed_blocks(self, mix):
-        # The streamed blocks are C-ordered (d, rows) arrays that cycle four
-        # reused buffers, so each is copied as it comes.
+        # The streamed blocks are C-ordered (d, rows) arrays, each its own.
         block = _CHUNK_BUDGET // (2 * mix.dimension)
         for n in (1, block - 1, block, block + 1, 100_003):
             stream = RandomStream(2, n)
-            blocks = [points.copy() for points in mix._blocks(stream, n)]
+            blocks = list(mix._blocks(stream, n))
             assert all(points.shape[0] == mix.dimension for points in blocks)
             assert all(points.flags.c_contiguous for points in blocks)
             assert max(points.shape[1] for points in blocks) <= block
@@ -259,22 +258,19 @@ class TestSampling:
                 mix.sample(stream, n), np.concatenate(blocks, axis=1).T
             )
 
-    def test_blocks_cycle_four_buffers(self):
-        # Block i stays valid while blocks i+1 to i+3 are drawn and is
-        # overwritten by block i+4, so a caller can score blocks i-2 to i
-        # while block i+1 is drawn: the sampler runs three blocks ahead.
+    def test_blocks_are_never_written_again(self):
+        # Each block is the caller's: no block shares memory with an earlier
+        # one, and every block keeps its values while all later ones are drawn.
         mix = bundled_mixture("peaked")
         block = _CHUNK_BUDGET // (2 * mix.dimension)
         blocks, copies = [], []
         for points in mix._blocks(RandomStream(2, 0), 8 * block + 1):
-            for earlier, copy in zip(blocks[-3:], copies[-3:]):
-                assert not np.shares_memory(points, earlier)
-                np.testing.assert_array_equal(earlier, copy)
-            if len(blocks) >= 4:
-                assert np.shares_memory(points, blocks[-4])
+            assert not any(np.shares_memory(points, earlier) for earlier in blocks)
             blocks.append(points)
             copies.append(points.copy())
         assert len(blocks) == 9
+        for points, copy in zip(blocks, copies):
+            np.testing.assert_array_equal(points, copy)
 
     def test_component_without_draws(self):
         # The middle component gets no rows, so its slice of every block is empty.
@@ -326,12 +322,12 @@ class TestSampling:
         ids=["peaked", "fourmode", "d3"],
     )
     def test_scratch_memory_is_one_block(self, mix):
-        # Beyond its output the sampler keeps its four block buffers and two
-        # scratch arrays of one block each, six blocks of at most half a
-        # _CHUNK_BUDGET of floats, whatever n is.  A 2-D ufunc call on a last
-        # block of fewer than 8192 floats may also take numpy's own 8192-float
-        # buffer for each of its three operands.  One byte a draw would
-        # already pass the bound at 2M draws.
+        # Beyond its output the sampler keeps the block being drawn, the block
+        # the caller still holds and two scratch arrays of one block each,
+        # four blocks of at most half a _CHUNK_BUDGET of floats, whatever n
+        # is.  A 2-D ufunc call on a last block of fewer than 8192 floats may
+        # also take numpy's own 8192-float buffer for each of its three
+        # operands.  One byte a draw would already pass the bound at 2M draws.
         for n in (200_000, 2_000_000):
             tracemalloc.start()
             try:
@@ -339,7 +335,7 @@ class TestSampling:
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            assert peak <= out.nbytes + 8 * 3 * _CHUNK_BUDGET + 3 * 8 * 8192 + 64 * 1024
+            assert peak <= out.nbytes + 8 * 2 * _CHUNK_BUDGET + 3 * 8 * 8192 + 64 * 1024
 
     def test_density_integrates_to_one(self):
         # Importance sampling against a wide proposal.
