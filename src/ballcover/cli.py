@@ -103,6 +103,14 @@ def _float_or_text(text: str):
         return text
 
 
+def _int_or_text(text: str):
+    """The int ``text`` spells, or ``text`` itself for its setting to reject."""
+    try:
+        return int(text)
+    except ValueError:
+        return text
+
+
 _NUMBER = ("a number", _is_number)
 _INT = ("an integer", _is_int)
 _COUNT = ("a positive integer", lambda v: _is_int(v) and v >= 1)
@@ -117,11 +125,16 @@ _BBOX = (
 
 # Every setting once: its default, the values it accepts from a config file
 # or a flag (a setting whose default is None may also be null), its flag,
-# and the flag's argparse keywords.  Flags default to None, "not given".
+# and the flag's argparse keywords.  Flags default to None, "not given".  A
+# typed flag keeps text it cannot convert, so the setting refuses it too.
 _SETTINGS = {
-    "alpha": (0.9, _NUMBER, "--alpha", dict(type=float, help="target probability mass")),
-    "epsilon": (0.05, _NUMBER, "--eps", dict(type=float, help="mass overshoot tolerance")),
-    "delta": (0.05, _NUMBER, "--delta", dict(type=float, help="failure probability budget")),
+    "alpha": (0.9, _NUMBER, "--alpha", dict(type=_float_or_text, help="target probability mass")),
+    "epsilon": (
+        0.05, _NUMBER, "--eps", dict(type=_float_or_text, help="mass overshoot tolerance")
+    ),
+    "delta": (
+        0.05, _NUMBER, "--delta", dict(type=_float_or_text, help="failure probability budget")
+    ),
     "lambda": (
         "optimal",
         _LAMBDA,
@@ -129,13 +142,13 @@ _SETTINGS = {
         dict(type=_float_or_text, help='quantile mixing weight in (0, 1), or "optimal"'),
     ),
     "norm": ("l2", _NORM, "--norm", dict(help="ball norm: " + ", ".join(_NORM_NAMES))),
-    "seed": (0, _INT, "--seed", dict(type=int, help="base seed for all randomness")),
+    "seed": (0, _INT, "--seed", dict(type=_int_or_text, help="base seed for all randomness")),
     "mixture": (
         None, _STR, "--mixture", dict(help="bundled mixture name (isotropic, peaked, fourmode)")
     ),
-    "m": (None, _COUNT, "--m", dict(type=int, help="number of shape-sample centers")),
+    "m": (None, _COUNT, "--m", dict(type=_int_or_text, help="number of shape-sample centers")),
     "shape_csv": (None, _STR, "--shape-csv", dict(help="headerless CSV of centers")),
-    "n": (None, _COUNT, "--n", dict(type=int, help="generated training-sample size")),
+    "n": (None, _COUNT, "--n", dict(type=_int_or_text, help="generated training-sample size")),
     "train_csv": (None, _STR, "--train-csv", dict(help="headerless CSV of training points")),
     "strict": (
         True,
@@ -143,17 +156,19 @@ _SETTINGS = {
         "--strict",
         dict(action="store_true", help="refuse training samples below n_min (default)"),
     ),
-    "trials": (200, _COUNT, "--trials", dict(type=int, help="number of recalibration trials")),
-    "coverage_samples": (
-        100_000, _COUNT, "--mc-samples", dict(type=int, help="coverage draws per trial")
+    "trials": (
+        200, _COUNT, "--trials", dict(type=_int_or_text, help="number of recalibration trials")
     ),
-    "resolution": (128, _COUNT, "--resolution", dict(type=int, help="pixels per axis")),
+    "coverage_samples": (
+        100_000, _COUNT, "--mc-samples", dict(type=_int_or_text, help="coverage draws per trial")
+    ),
+    "resolution": (128, _COUNT, "--resolution", dict(type=_int_or_text, help="pixels per axis")),
     "bbox": (
         None,
         _BBOX,
         "--bbox",
         dict(
-            type=float,
+            type=_float_or_text,
             nargs=4,
             metavar=("XMIN", "XMAX", "YMIN", "YMAX"),
             help="raster window (default: centers padded by three radii)",

@@ -34,10 +34,13 @@ __all__ = [
 ]
 
 # Floats of kernel scratch: 64K floats (512 KB), so it stays in one core's L2
-# cache.  ``shape_values`` fits each (rows, m, d) difference block in it (at
-# least one row, so a single row wider than the budget, m * d above it, still
-# makes one block); ``member_batch``'s kernel splits it into two (g, left)
-# slots, a running sum and the next coordinate's terms; ``raster_set`` keeps
+# cache.  ``shape_values`` fits each (rows, m, d) difference block in it up to
+# d = 32; above that a block has the rows of a 32-D one, up to 2,048 pairs
+# (at most 2,048 * d floats, 4.8 MB at d = 300), so a pass over one coordinate
+# is not bound by call overhead.  A block has at least one row, so a single
+# row wider than that, m * d above it, still makes one block.
+# ``member_batch``'s kernel splits the budget into two (g, left) slots, a
+# running sum and the next coordinate's terms; ``raster_set`` keeps
 # each (balls, rows, cols) block of pair sums in half of it.  All fold a pair
 # by ``_pair_rule``.  ``GaussianMixture._blocks`` draws each coordinate-major
 # (d, rows) block of half a budget of floats into its own array and transforms
@@ -150,12 +153,18 @@ def shape_values(centers, norm: Norm, points) -> np.ndarray:
     -------
     (n,) array with entry j equal to min_i ||points[j] - centers[i]||_p.
 
-    Points are scored in blocks whose ``(rows, m, d)`` difference array
-    holds at most ``_CHUNK_BUDGET`` floats (at least one row), so the
-    scratch memory does not grow with n.  Each block is reduced in place,
-    its pairs folded as :func:`_pair_rule` folds them, so
-    ``shape_values(...) <= radius`` is the rule's verdict whatever the
-    block size, and its minima are written straight into the output.
+    Points are scored in blocks of ``(rows, m, d)`` differences, written
+    into one scratch array, so the scratch memory does not grow with n.  A
+    block holds at most ``_CHUNK_BUDGET`` floats up to d = 32 and at most
+    ``_CHUNK_BUDGET * d / 32`` above it (at least one row either way), so a
+    block of high-dimensional points holds as many pairs as a 32-D one.
+    Each block is transformed in place and its last axis folded into the
+    first coordinate, one coordinate at a time, by :func:`_pair_rule`'s
+    combine, so ``shape_values(...) <= radius`` is the rule's verdict
+    whatever the block size.  The block minima are written straight into
+    the output, and L2 takes its square root once per point after the
+    minimum: ``sqrt`` is monotone and correctly rounded, so that order
+    gives the same bits.
     """
     centers = _matrix(centers, "centers")
     points = _matrix(points, "points")
@@ -165,19 +174,20 @@ def shape_values(centers, norm: Norm, points) -> np.ndarray:
             f"points are {points.shape[1]}-D"
         )
     m, d = centers.shape
-    transform = _pair_rule(norm, 0.0)[0]
-    out = np.empty(points.shape[0])
-    chunk = max(1, _CHUNK_BUDGET // (m * d))
-    for start in range(0, points.shape[0], chunk):
+    n = points.shape[0]
+    transform, combine, _ = _pair_rule(norm, 0.0)
+    out = np.empty(n)
+    chunk = max(1, _CHUNK_BUDGET // (m * min(d, 32)))
+    scratch = np.empty((min(chunk, n), m, d))
+    for start in range(0, n, chunk):
         block = points[start : start + chunk]
-        diffs = block[:, np.newaxis, :] - centers[np.newaxis, :, :]
+        diffs = np.subtract(block[:, np.newaxis, :], centers, out=scratch[: block.shape[0]])
         transform(diffs, out=diffs)
-        # ``cumsum`` adds left to right; ``sum`` would add pairwise from d = 8 up.
-        dists = diffs.max(axis=-1) if norm is Norm.LINF else diffs.cumsum(-1, out=diffs)[..., -1]
-        if norm is Norm.L2:
-            np.sqrt(dists, out=dists)
-        dists.min(axis=1, out=out[start : start + block.shape[0]])
-    return out
+        folded = diffs[..., 0]
+        for k in range(1, d):
+            combine(folded, diffs[..., k], out=folded)
+        folded.min(axis=1, out=out[start : start + block.shape[0]])
+    return np.sqrt(out, out=out) if norm is Norm.L2 else out
 
 
 @dataclass(frozen=True)

@@ -94,6 +94,57 @@ class TestSamplesize:
             assert err.startswith("error: config key 'lambda' (--lambda) must be ")
             assert err.rstrip().endswith(f"got {value}")
 
+    @pytest.mark.parametrize(
+        "argv, key, flag, kind, value",
+        [
+            (["samplesize", "--alpha", "frog"], "alpha", "--alpha", "a number", "'frog'"),
+            (["samplesize", "--eps", "wide"], "epsilon", "--eps", "a number", "'wide'"),
+            (["samplesize", "--delta", "1/20"], "delta", "--delta", "a number", "'1/20'"),
+            (["calibrate", "--seed", "0x1"], "seed", "--seed", "an integer", "'0x1'"),
+            (
+                ["calibrate", "--mixture", "peaked", "--m", "ten"],
+                "m",
+                "--m",
+                "a positive integer",
+                "'ten'",
+            ),
+            (["calibrate", "--n", "5.0"], "n", "--n", "a positive integer", "'5.0'"),
+            (["coverage", "--trials", "1e3"], "trials", "--trials", "a positive integer", "'1e3'"),
+            (
+                ["coverage", "--mc-samples", "many"],
+                "coverage_samples",
+                "--mc-samples",
+                "a positive integer",
+                "'many'",
+            ),
+            (
+                ["raster", "--resolution", "big"],
+                "resolution",
+                "--resolution",
+                "a positive integer",
+                "'big'",
+            ),
+            (
+                ["raster", "--bbox", "0", "1", "x", "2"],
+                "bbox",
+                "--bbox",
+                "a list of four numbers",
+                "[0.0, 1.0, 'x', 2.0]",
+            ),
+        ],
+        ids=["alpha", "eps", "delta", "seed", "m", "n", "trials", "mc", "resolution", "bbox"],
+    )
+    def test_unparseable_typed_flag_exits_2_naming_its_key(
+        self, argv, key, flag, kind, value, tmp_path, monkeypatch, capsys
+    ):
+        # Every typed flag keeps text it cannot convert, so its setting, not
+        # argparse, refuses it, and main returns 2 instead of raising.
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: config key {key!r} ({flag}) must be {kind}, got {value}\n"
+        assert not any(tmp_path.iterdir())
+
     def test_out_dir_is_rejected(self, tmp_path, capsys):
         # samplesize writes no file, so --out-dir is an unknown flag.
         with pytest.raises(SystemExit) as exc:

@@ -212,11 +212,12 @@ class TestBlocks:
     """``shape_values`` scores points in blocks of ``_CHUNK_BUDGET`` floats."""
 
     @pytest.mark.parametrize("m", [1, 10, 1000])
-    @pytest.mark.parametrize("d", [1, 2, 3, 8, 9, 20])
+    @pytest.mark.parametrize("d", [1, 2, 3, 8, 9, 20, 33, 64])
     def test_exact_at_every_block_size(self, d, m, monkeypatch):
         # 1009 and 211 are prime, so no block size above one divides the
         # point count and a multi-block split always ends on a short block;
-        # budget 1 makes one point per block.
+        # budget 1 makes one point per block.  Above d = 32 a block has the
+        # rows of a 32-D one, which d = 33 and 64 check at every budget.
         rng = np.random.default_rng(100 * d + m)
         centers = rng.normal(size=(m, d))
         points = rng.normal(size=(1009 if m < 1000 else 211, d))
@@ -227,9 +228,10 @@ class TestBlocks:
             for budget in (1, 7, 4096, 65_536, 1_000_000):
                 monkeypatch.setattr(geometry, "_CHUNK_BUDGET", budget)
                 results.append(shape_values(centers, norm, points))
-                # At m = 1000 budgets 1 and 7 score a pair or so a step,
-                # which takes seconds; the other m values cover such steps.
-                if m < 1000 or budget > 7:
+                # At m = 1000 or above d = 32 budgets 1 and 7 score a pair or
+                # so a step, which takes seconds; the other cases cover such
+                # steps.
+                if (m < 1000 and d <= 32) or budget > 7:
                     memberships.append(member_batch(uset, points))
             for result in results[1:]:
                 np.testing.assert_array_equal(result, results[0])
@@ -249,6 +251,25 @@ class TestBlocks:
         finally:
             tracemalloc.stop()
         assert peak < 4 * 2**20
+
+    def test_high_dimensional_block_is_bounded_and_does_not_grow_with_the_sample(self):
+        # Above d = 32 a block keeps the rows of a 32-D one: 40 rows against
+        # 50 centers at d = 300, 600K floats (4.8 MB) of differences, reused
+        # for every block, so the peak beyond the output does not grow with n.
+        rng = np.random.default_rng(6)
+        centers = rng.normal(size=(50, 300))
+        peaks = []
+        for n in (3_000, 20_000):
+            points = rng.normal(size=(n, 300))
+            tracemalloc.start()
+            try:
+                shape_values(centers, Norm.L2, points)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            peaks.append(peak - 8 * n)
+        assert peaks[0] < 10 * 2**20
+        assert abs(peaks[1] - peaks[0]) < 2**16
 
     def test_member_batch_block_is_bounded_at_high_dimension(self):
         # 20k points in 300-D are 48 MB; the transposed block is capped at
