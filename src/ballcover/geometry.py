@@ -40,8 +40,10 @@ __all__ = [
 # is not bound by call overhead.  A block has at least one row, so a single
 # row wider than that, m * d above it, still makes one block.
 # ``member_batch``'s kernel splits the budget into two (g, left) slots, a
-# running sum and the next coordinate's terms; ``raster_set`` keeps
-# each (balls, rows, cols) block of pair sums in half of it.  All fold a pair
+# running sum and the next coordinate's terms, and each step takes the
+# g = slot // left centers that fill one (a slot is smaller only when all
+# of a block's pairs fit in less); ``raster_set`` keeps each
+# (balls, rows, cols) block of pair sums in half of it.  All fold a pair
 # by ``_pair_rule``.  ``GaussianMixture._blocks`` draws each coordinate-major
 # (d, rows) block of half a budget of floats into its own array and transforms
 # it with two scratch arrays of the same size, so a drawn block has at most
@@ -281,30 +283,34 @@ def _member_columns(uset: UncertaintySet, columns: np.ndarray) -> np.ndarray:
     """Boolean membership for each column of a (d, rows) block.
 
     A point is inside once one ball holds it, so the centers are walked in
-    their stored order, a step taking the next ``ceil(m / left)`` centers
-    for the ``left`` points of the block, capped so that its ``(g, left)``
-    pairs fit one slot of the scratch.  A point found inside is marked done
-    but stays in the block until dropping it pays: the block is compacted
-    to the points still outside once ``dead * (centers to go) >= left``,
-    ``dead`` being the done points, that is once the pair tests they would
-    still take are at least one pass over the block.  After the last
-    center the done points are written without a compaction.  Testing a
-    point that is already inside changes no verdict.  The pairs are scored
-    one coordinate at a time by :func:`_pair_rule`: subtract, transform in
-    place, and fold into the running result.
+    their stored order, a step taking the next ``g = slot // left`` centers
+    for the ``left`` points of the block, so that its ``(g, left)`` pairs
+    fill one slot of the scratch (the last step takes what remains).  A
+    point found inside is marked done but stays in the block until
+    dropping it pays: the block is compacted to the points still outside
+    once ``dead * (centers to go) >= left``, ``dead`` being the done
+    points, that is once the pair tests they would still take are at
+    least one pass over the block.  After the last center the done points
+    are written without a compaction.  Testing a point that is already
+    inside changes no verdict.  The pairs are scored one coordinate at a
+    time by :func:`_pair_rule`: subtract, transform in place, and fold
+    into the running result.
 
     ``columns`` is read, never written, so a sampler's block is scored
     where it lies.  The scratch is two slots, the running sum and the next
-    coordinate's terms, of at most half a ``_CHUNK_BUDGET`` of floats each,
-    or of one float per point for a block with more rows than that.
+    coordinate's terms, of ``max(n, min(_CHUNK_BUDGET // 2, n * m))``
+    floats each: half a budget, all ``n * m`` pairs if they are fewer (so
+    a single point takes every center in one step), or one float per point
+    for a block with more rows than half a budget.
     """
     centers, norm = uset.centers, uset.norm
     m, d = centers.shape
     transform, combine, level = _pair_rule(norm, uset.radius)
     n = columns.shape[1]
-    # A slot holds a whole block against one center, and no step holds
-    # more than m + left - 1 pairs.
-    scratch = np.empty((2, max(n, min(_CHUNK_BUDGET // 2, n + m - 1))))
+    # A slot holds a whole block against one center, or every pair of the
+    # block if there are fewer than half a budget of them; a step takes as
+    # many centers as fill it.
+    scratch = np.empty((2, max(n, min(_CHUNK_BUDGET // 2, n * m))))
     by_axis = centers.T[:, :, np.newaxis]
     inside = np.zeros(n, dtype=bool)
     outside = columns
@@ -312,7 +318,7 @@ def _member_columns(uset: UncertaintySet, columns: np.ndarray) -> np.ndarray:
     done = np.zeros(n, dtype=bool)
     start = 0
     while left.size:
-        g = min(-(-m // left.size), scratch.shape[1] // left.size)
+        g = scratch.shape[1] // left.size
         cols = by_axis[:, start : start + g]
         acc, term = scratch[:, : cols.shape[1] * left.size].reshape(2, -1, left.size)
         transform(np.subtract(outside[0], cols[0], out=acc), out=acc)

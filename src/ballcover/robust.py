@@ -20,6 +20,7 @@ LP core.
 from __future__ import annotations
 
 import math
+import reprlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -101,16 +102,27 @@ class RobustRow:
 def _normalize_bounds(bounds, dim: int):
     if bounds is None:
         return None
-    pairs = list(bounds)
+    try:
+        pairs = list(bounds)
+    except TypeError:
+        raise ModelError(f"bounds must be None or {dim} (lower, upper) pairs") from None
     if len(pairs) != dim:
         raise ModelError(f"bounds has {len(pairs)} pairs, expected {dim}")
     out = []
     for j, pair in enumerate(pairs):
-        lo, hi = pair
+        try:
+            if isinstance(pair, str):
+                raise TypeError
+            lo, hi = (None if value is None else float(value) for value in pair)
+        except (TypeError, ValueError):
+            raise ModelError(
+                f"bounds for variable {j} must be a (lower, upper) pair of numbers "
+                f"or None, got {reprlib.repr(pair)}"
+            ) from None
         for name, value in (("lower", lo), ("upper", hi)):
-            if value is not None and not math.isfinite(float(value)):
+            if value is not None and not math.isfinite(value):
                 raise ModelError(f"{name} bound for variable {j} must be finite or None")
-        out.append((None if lo is None else float(lo), None if hi is None else float(hi)))
+        out.append((lo, hi))
     return tuple(out)
 
 
@@ -177,7 +189,6 @@ class RobustLinearProgram:
         if not isinstance(data, dict):
             raise ModelError("model must be a JSON object")
         try:
-            bounds = data.get("bounds")
             return cls(
                 objective=data["objective"],
                 deterministic_rows=tuple(
@@ -187,7 +198,7 @@ class RobustLinearProgram:
                     RobustRow(UncertaintySet.from_dict(row["set"]), row["b"])
                     for row in data.get("robust_rows", ())
                 ),
-                bounds=None if bounds is None else [tuple(pair) for pair in bounds],
+                bounds=data.get("bounds"),
             )
         except KeyError as exc:
             raise ModelError(f"model is missing key {exc}") from exc

@@ -542,6 +542,16 @@ class TestSolve:
         assert capsys.readouterr().err.startswith("error:")
         assert not (tmp_path / "report.json").exists()
 
+    def test_malformed_bounds_pair_exits_2_naming_it(self, tmp_path, capsys):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps({"objective": [1.0, 1.0], "bounds": [[0, 1, 2], [0, None]]}))
+        rc = main(["solve", "--model", str(path), "--out-dir", str(tmp_path / "out")])
+        assert rc == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: bounds for variable 0 must be a (lower, upper) pair")
+        assert not (tmp_path / "out").exists()
+
     def test_deeply_nested_model_exits_2(self, tmp_path, capsys):
         model = write_deep_json(tmp_path / "model.json")
         rc = main(["solve", "--model", model, "--out-dir", str(tmp_path / "out")])

@@ -336,9 +336,10 @@ class TestDeferredCompaction:
     each verdict is ``shape_values(...) <= radius``.
     """
 
-    # (m, _CHUNK_BUDGET).  Budget 64 makes blocks of 32 points, so once fewer
-    # than m points are left a step takes g > 1 centers.  At m = 1000 it
-    # takes seconds (a step or so per center and block), so m <= 10 cover it.
+    # (m, _CHUNK_BUDGET).  Budget 64 makes blocks of 32 points and slots of
+    # 32 floats, so once at most half a slot's points are left a step takes
+    # g > 1 centers.  At m = 1000 it takes seconds (a step or so per center
+    # and block), so m <= 10 cover it.
     SIZES = [(m, b) for m in (1, 2, 10, 1000) for b in (64, 4096, 65_536) if (m, b) != (1000, 64)]
 
     @staticmethod
@@ -379,6 +380,30 @@ class TestDeferredCompaction:
         points = np.random.default_rng(m).uniform(-1.0, 1.0, size=(97, 2)) + [0.0, 100.0]
         for norm in ALL_NORMS:
             assert not member_batch(UncertaintySet(centers, 1.0, norm), points).any()
+
+    @pytest.mark.parametrize("n, m", [(4096, 1000), (16384, 10), (211, 59), (1, 7)])
+    def test_a_step_fills_its_slot(self, n, m, monkeypatch):
+        # No ball touches the block, so no point leaves it and every step
+        # takes slot // n centers, each step transforming d = 2 coordinates.
+        calls = 0
+
+        def counting_rule(norm, radius):
+            transform, combine, level = rule(norm, radius)
+
+            def counted(*args, **kwargs):
+                nonlocal calls
+                calls += 1
+                return transform(*args, **kwargs)
+
+            return counted, combine, level
+
+        rule = geometry._pair_rule
+        monkeypatch.setattr(geometry, "_pair_rule", counting_rule)
+        centers, _ = self.trickle(m, 0, seed=m)
+        points = np.random.default_rng(n).uniform(-1.0, 1.0, size=(n, 2)) + [0.0, 100.0]
+        assert not member_batch(UncertaintySet(centers, 1.0, Norm.L2), points).any()
+        slot = max(n, min(geometry._CHUNK_BUDGET // 2, n * m))
+        assert calls == 2 * math.ceil(m / (slot // n))
 
     @pytest.mark.parametrize("m, budget", SIZES)
     def test_every_point_inside_the_first_ball(self, m, budget, monkeypatch):

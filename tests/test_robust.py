@@ -134,6 +134,15 @@ class TestModelValidation:
                 objective=[1.0], bounds=[(0.0, float("inf"))]
             )
 
+    @pytest.mark.parametrize(
+        "bounds",
+        [[(0.0, 1.0, 2.0), (0.0, None)], "ab", [("a", 1.0), (0.0, None)]],
+        ids=["three-values", "text", "text-value"],
+    )
+    def test_malformed_bounds_pair_names_bounds_and_its_variable(self, bounds):
+        with pytest.raises(ModelError, match="bounds for variable 0"):
+            RobustLinearProgram(objective=[1.0, 1.0], bounds=bounds)
+
     def test_objective_must_be_finite(self):
         with pytest.raises(ModelError):
             RobustLinearProgram(objective=[1.0, float("nan")])
