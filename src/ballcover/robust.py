@@ -102,10 +102,7 @@ class RobustRow:
 def _normalize_bounds(bounds, dim: int):
     if bounds is None:
         return None
-    try:
-        pairs = list(bounds)
-    except TypeError:
-        raise ModelError(f"bounds must be None or {dim} (lower, upper) pairs") from None
+    pairs = list(bounds)
     if len(pairs) != dim:
         raise ModelError(f"bounds has {len(pairs)} pairs, expected {dim}")
     out = []
